@@ -57,16 +57,6 @@ using namespace psketch::verify;
 
 namespace {
 
-/// Finds one suite row by family and test label.
-SuiteEntry findRow(const std::string &Family, const std::string &Test) {
-  for (const SuiteEntry &E : paperSuite(Family))
-    if (E.Test == Test)
-      return E;
-  std::fprintf(stderr, "error: no suite row %s %s\n", Family.c_str(),
-               Test.c_str());
-  std::exit(2);
-}
-
 /// The lightest entry of one suite family.
 SuiteEntry lightestRow(const std::string &Family) {
   auto Entries = paperSuite(Family);

@@ -218,6 +218,13 @@ CegisResult ConcurrentCegis::run() {
     accumulateCheckerStats(R.Stats, Check);
     ++R.Stats.Iterations;
 
+    // A pass cut off at MaxStates only covers the budget: it is no
+    // verdict, so the run ends unresolved rather than resolvable.
+    if (Check.Ok && Check.Exhausted) {
+      R.Stats.Aborted = true;
+      break;
+    }
+
     // Shape audit: re-check without the heap partition and demand the
     // identical verdict and counterexample. Disagreement means the
     // partition licensed an unsound POR discount — surfaced, not hidden.

@@ -109,7 +109,7 @@ struct CegisConfig {
 /// The Figure 9 measurement row.
 struct CegisStats {
   bool Resolvable = false;
-  bool Aborted = false;     ///< hit the iteration/time budget
+  bool Aborted = false;     ///< hit the iteration/time/state budget
   unsigned Iterations = 0;  ///< verifier calls (the paper's Itns)
   double TotalSeconds = 0.0;
   double SsolveSeconds = 0.0; ///< SAT solving

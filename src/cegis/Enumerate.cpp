@@ -147,6 +147,12 @@ void enumerateSerial(const flat::FlatProgram &FP, synth::InductiveSynth &Synth,
     ++R.Stats.Iterations;
     foldCheck(R.Stats, Check);
 
+    // A pass cut off at MaxStates is no verdict: stop without claiming
+    // the candidate or, by never reaching a dry solve, completeness.
+    if (Check.Ok && Check.Exhausted) {
+      R.Stats.Aborted = true;
+      break;
+    }
     if (Check.Ok) {
       Solution S;
       S.Candidate = Candidate;
@@ -186,7 +192,8 @@ void enumerateBatched(const flat::FlatProgram &FP,
   PerCandidate.NumThreads = 1; // one worker per in-flight candidate
 
   bool SpaceDry = false;
-  while (!SpaceDry && R.Solutions.size() < MaxSolutions) {
+  while (!SpaceDry && !R.Stats.Aborted &&
+         R.Solutions.size() < MaxSolutions) {
     if (R.Stats.Iterations >= Cfg.MaxIterations ||
         (Cfg.TimeLimitSeconds > 0.0 &&
          Total.seconds() > Cfg.TimeLimitSeconds)) {
@@ -222,7 +229,9 @@ void enumerateBatched(const flat::FlatProgram &FP,
     for (size_t I = 0; I < Candidates.size(); ++I) {
       ++R.Stats.Iterations;
       foldCheck(R.Stats, Checks[I]);
-      if (Checks[I].Ok)
+      if (Checks[I].Ok && Checks[I].Exhausted)
+        R.Stats.Aborted = true; // cut off at MaxStates: no verdict
+      else if (Checks[I].Ok)
         Verified.push_back(I);
       else if (Cfg.LearnFromTraces)
         Synth.addTrace(*Checks[I].Cex);
@@ -243,7 +252,7 @@ void enumerateBatched(const flat::FlatProgram &FP,
       R.Solutions.push_back(std::move(S));
     }
   }
-  if (SpaceDry)
+  if (SpaceDry && !R.Stats.Aborted)
     R.Exhausted = true; // the whole space has been enumerated
 }
 

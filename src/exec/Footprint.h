@@ -53,17 +53,17 @@ namespace exec {
 class Footprint {
 public:
   Footprint() = default;
-  explicit Footprint(unsigned Bits) : Read((Bits + 63) / 64, 0),
-                                      Write((Bits + 63) / 64, 0) {}
+  explicit Footprint(unsigned Bits)
+      : Words((Bits + 63) / 64), Set(2 * Words, 0) {}
 
-  void addRead(unsigned Bit) { Read[Bit / 64] |= 1ull << (Bit % 64); }
-  void addWrite(unsigned Bit) { Write[Bit / 64] |= 1ull << (Bit % 64); }
-
-  bool reads(unsigned Bit) const {
-    return (Read[Bit / 64] >> (Bit % 64)) & 1;
+  void addRead(unsigned Bit) { Set[Bit / 64] |= 1ull << (Bit % 64); }
+  void addWrite(unsigned Bit) {
+    Set[Words + Bit / 64] |= 1ull << (Bit % 64);
   }
+
+  bool reads(unsigned Bit) const { return (Set[Bit / 64] >> (Bit % 64)) & 1; }
   bool writes(unsigned Bit) const {
-    return (Write[Bit / 64] >> (Bit % 64)) & 1;
+    return (Set[Words + Bit / 64] >> (Bit % 64)) & 1;
   }
 
   /// Unions \p O into this footprint (suffix accumulation). Protection
@@ -71,14 +71,12 @@ public:
   /// constituent access holds. Untouched bits stay at the all-ones mask,
   /// the identity of intersection.
   void unionWith(const Footprint &O) {
-    for (size_t I = 0; I < Read.size(); ++I) {
-      Read[I] |= O.Read[I];
-      Write[I] |= O.Write[I];
-    }
+    for (size_t I = 0; I < Set.size(); ++I)
+      Set[I] |= O.Set[I];
     if (O.Prot.empty())
       return;
     if (Prot.empty())
-      Prot.assign(Read.size() * 64, ~0u);
+      Prot.assign(Words * 64, ~0u);
     for (size_t B = 0; B < Prot.size(); ++B)
       Prot[B] &= O.Prot[B];
   }
@@ -86,8 +84,10 @@ public:
   /// True when the two steps do NOT commute: one writes a cell the other
   /// reads or writes. Read-read overlap is not a conflict.
   bool conflictsWith(const Footprint &O) const {
-    for (size_t I = 0; I < Read.size(); ++I)
-      if ((Write[I] & (O.Read[I] | O.Write[I])) | (Read[I] & O.Write[I]))
+    const uint64_t *R = Set.data(), *W = R + Words;
+    const uint64_t *OR = O.Set.data(), *OW = OR + Words;
+    for (size_t I = 0; I < Words; ++I)
+      if ((W[I] & (OR[I] | OW[I])) | (R[I] & OW[I]))
         return true;
     return false;
   }
@@ -98,9 +98,10 @@ public:
   bool conflictsWithUnprotected(const Footprint &O) const {
     if (Prot.empty() || O.Prot.empty())
       return conflictsWith(O);
-    for (size_t I = 0; I < Read.size(); ++I) {
-      uint64_t Conflict = (Write[I] & (O.Read[I] | O.Write[I])) |
-                          (Read[I] & O.Write[I]);
+    const uint64_t *R = Set.data(), *W = R + Words;
+    const uint64_t *OR = O.Set.data(), *OW = OR + Words;
+    for (size_t I = 0; I < Words; ++I) {
+      uint64_t Conflict = (W[I] & (OR[I] | OW[I])) | (R[I] & OW[I]);
       while (Conflict) {
         unsigned Bit = static_cast<unsigned>(I * 64) +
                        static_cast<unsigned>(__builtin_ctzll(Conflict));
@@ -115,7 +116,7 @@ public:
   /// Enables the protection channel: every bit starts fully protected
   /// (the intersection identity); the Machine then narrows the bits the
   /// step touches to its must-entry lock mask via protect().
-  void enableProt() { Prot.assign(Read.size() * 64, ~0u); }
+  void enableProt() { Prot.assign(Words * 64, ~0u); }
 
   /// Sets bit \p Bit's protection to exactly \p Mask (the lock set held
   /// at the owning step's entry).
@@ -131,16 +132,19 @@ public:
   bool hasProtection() const { return !Prot.empty(); }
 
   bool empty() const {
-    for (size_t I = 0; I < Read.size(); ++I)
-      if (Read[I] | Write[I])
+    for (uint64_t X : Set)
+      if (X)
         return false;
     return true;
   }
 
 private:
-  std::vector<uint64_t> Read, Write;
+  /// Words per set; Set holds the read set's words, then the write
+  /// set's, so a conflict test reads one heap block per side.
+  size_t Words = 0;
+  std::vector<uint64_t> Set;
   /// Per-bit must-held lock mask; empty = channel disabled. Sized to the
-  /// word-rounded universe (Read.size() * 64) so ctz-derived bit indices
+  /// word-rounded universe (Words * 64) so ctz-derived bit indices
   /// never go out of range.
   std::vector<uint32_t> Prot;
 };

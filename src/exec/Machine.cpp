@@ -88,62 +88,19 @@ Machine::Machine(const flat::FlatProgram &FP, const HoleAssignment &Holes)
       SuffixFp[Ctx][I].unionWith(StepFp[Ctx][I]);
     }
   }
-
-  buildRelationTables();
 }
 
 Machine::Machine(const flat::FlatProgram &FP, const HoleAssignment &Holes,
                  const MachineTuning &Tuning)
     : Machine(FP, Holes) {
   // Order matters: the heap partition widens the footprint universe, so
-  // it runs before the lock annotations stamp per-bit protection masks,
-  // and the relation tables are rebuilt once over the final footprints.
-  bool Rewrote = false;
-  if (Tuning.Heap && !Tuning.Heap->empty()) {
+  // it runs before the lock annotations stamp per-bit protection masks.
+  if (Tuning.Heap && !Tuning.Heap->empty())
     applyHeapPartition(*Tuning.Heap);
-    Rewrote = NumHeapSites != 0;
-  }
-  if (Tuning.Locks && !Tuning.Locks->empty()) {
+  if (Tuning.Locks && !Tuning.Locks->empty())
     applyLockAnnotations(*Tuning.Locks);
-    Rewrote = true;
-  }
-  if (Rewrote)
-    buildRelationTables(); // the tunings rewrote the footprints
   if (Tuning.Bounds && !Tuning.Bounds->empty())
     buildPackedLayout(*Tuning.Bounds);
-}
-
-void Machine::buildRelationTables() {
-  CommuteTbl.clear();
-  IndepTbl.clear();
-  unsigned NC = numContexts();
-  size_t Total = 0;
-  for (unsigned A = 0; A < NC; ++A)
-    for (unsigned B = 0; B < NC; ++B)
-      Total += StepFp[A].size() * StepFp[B].size();
-  if (Total > MaxRelationBits)
-    return; // oversized bodies fall back to on-demand footprint checks
-  CommuteTbl.resize(static_cast<size_t>(NC) * NC);
-  IndepTbl.resize(static_cast<size_t>(NC) * NC);
-  for (unsigned A = 0; A < NC; ++A) {
-    for (unsigned B = 0; B < NC; ++B) {
-      size_t LenA = StepFp[A].size(), LenB = StepFp[B].size();
-      std::vector<uint8_t> &Cm = CommuteTbl[A * NC + B];
-      std::vector<uint8_t> &In = IndepTbl[A * NC + B];
-      Cm.assign((LenA * LenB + 7) / 8, 0);
-      In.assign((LenA * LenB + 7) / 8, 0);
-      for (size_t PA = 0; PA < LenA; ++PA) {
-        const Footprint &FA = StepFp[A][PA];
-        for (size_t PB = 0; PB < LenB; ++PB) {
-          size_t Bit = PA * LenB + PB;
-          if (!FA.conflictsWithUnprotected(StepFp[B][PB]))
-            Cm[Bit >> 3] |= static_cast<uint8_t>(1u << (Bit & 7));
-          if (!FA.conflictsWithUnprotected(SuffixFp[B][PB]))
-            In[Bit >> 3] |= static_cast<uint8_t>(1u << (Bit & 7));
-        }
-      }
-    }
-  }
 }
 
 //===----------------------------------------------------------------------===//

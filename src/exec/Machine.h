@@ -284,13 +284,6 @@ public:
   /// through unchanged (docs/ANALYSIS.md).
   bool commutes(unsigned CtxA, uint32_t PcA, unsigned CtxB,
                 uint32_t PcB) const {
-    if (!CommuteTbl.empty()) {
-      uint32_t NB = static_cast<uint32_t>(StepFp[CtxB].size() - 1);
-      size_t Bit = static_cast<size_t>(clampPc(StepFp[CtxA], PcA)) * (NB + 1) +
-                   clampPc(StepFp[CtxB], PcB);
-      return (CommuteTbl[CtxA * numContexts() + CtxB][Bit >> 3] >> (Bit & 7)) &
-             1;
-    }
     return !stepFootprint(CtxA, PcA)
                 .conflictsWithUnprotected(stepFootprint(CtxB, PcB));
   }
@@ -304,21 +297,7 @@ public:
   /// the ample step fires. The caller layers the cycle proviso (C2) on
   /// top. PCs of \p S must be normalized (classifyAll has run).
   bool singletonIndependent(State &S, unsigned Ctx) const {
-    uint32_t Pc = normalizePc(S, Ctx);
-    if (!IndepTbl.empty()) {
-      uint32_t PA = clampPc(StepFp[Ctx], Pc);
-      for (unsigned U = 0; U < numThreads(); ++U) {
-        if (U == Ctx)
-          continue;
-        uint32_t NB = static_cast<uint32_t>(SuffixFp[U].size() - 1);
-        size_t Bit = static_cast<size_t>(PA) * (NB + 1) +
-                     clampPc(SuffixFp[U], S.pc(U));
-        if (!((IndepTbl[Ctx * numContexts() + U][Bit >> 3] >> (Bit & 7)) & 1))
-          return false;
-      }
-      return true;
-    }
-    const Footprint &Fp = stepFootprint(Ctx, Pc);
+    const Footprint &Fp = stepFootprint(Ctx, normalizePc(S, Ctx));
     for (unsigned U = 0; U < numThreads(); ++U) {
       if (U == Ctx)
         continue;
@@ -345,23 +324,6 @@ private:
   std::vector<std::vector<Footprint>> StepFp;
   std::vector<std::vector<Footprint>> SuffixFp;
 
-  /// Precomputed relation bits over step pcs, one bitset per ordered
-  /// context pair indexed pcA * lenB + pcB: CommuteTbl caches commutes()
-  /// (step-vs-step), IndepTbl caches the step-vs-suffix independence that
-  /// singletonIndependent folds over. Built at construction (and rebuilt
-  /// after lock-annotation tuning mutates the footprints) unless the
-  /// bodies exceed MaxRelationBits; empty tables mean "recompute from
-  /// footprints". Both engines — scalar and batched — consult the same
-  /// tables, so their POR decisions agree by construction.
-  static constexpr size_t MaxRelationBits = 1u << 22;
-  std::vector<std::vector<uint8_t>> CommuteTbl;
-  std::vector<std::vector<uint8_t>> IndepTbl;
-
-  static uint32_t clampPc(const std::vector<Footprint> &Tbl, uint32_t Pc) {
-    uint32_t N = static_cast<uint32_t>(Tbl.size() - 1);
-    return Pc < N ? Pc : N;
-  }
-
   /// Packed-key layout (Enabled only under ValueBounds tuning) and the
   /// tuning observability counters. PackEscapes is mutated from const
   /// encode paths that run concurrently in the parallel checker.
@@ -376,8 +338,6 @@ private:
   const HeapPartition *HeapPart = nullptr;
   unsigned NumHeapSites = 0;
   uint64_t SiteIndepPairs = 0;
-
-  void buildRelationTables();
 
   void collectExprFootprint(unsigned Ctx, ir::ExprRef E, Footprint &F) const;
   void collectLocFootprint(unsigned Ctx, const ir::Loc &L, bool IsWrite,

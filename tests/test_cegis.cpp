@@ -5,7 +5,9 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "benchmarks/Suite.h"
 #include "cegis/Cegis.h"
+#include "cegis/Enumerate.h"
 #include "exec/Machine.h"
 #include "synth/InductiveSynth.h"
 
@@ -41,6 +43,27 @@ void buildLockChoice(Program &P, unsigned &HoleOut, int ExpectedTotal) {
   P.setRoot(BodyId::epilogue(),
             P.assertS(P.eq(P.global(X), P.constInt(ExpectedTotal)),
                       "expected total"));
+}
+
+/// One Figure-9 row by family and test label.
+bench::SuiteEntry suiteRow(const std::string &Family, const std::string &Test) {
+  for (const bench::SuiteEntry &E : bench::paperSuite(Family))
+    if (E.Test == Test)
+      return E;
+  ADD_FAILURE() << "no suite row " << Family << " " << Test;
+  return bench::paperSuite(Family).front();
+}
+
+/// The library-default configuration with one checker worker, and the
+/// environment-overridable defaults (PSKETCH_SHAPE, PSKETCH_WARM_START)
+/// pinned to their shipped values so every CI job runs one trajectory.
+CegisConfig shippedDefaults() {
+  CegisConfig Cfg;
+  Cfg.Shape = true;
+  Cfg.Analysis.Shape = true;
+  Cfg.SolverWarmStart = true;
+  Cfg.Checker.NumThreads = 1;
+  return Cfg;
 }
 
 } // namespace
@@ -293,4 +316,63 @@ TEST(Cegis, ResolvedReorderSatisfiesSpecConcretely) {
   ASSERT_TRUE(M.runToCompletion(S, M.prologueCtx(), V));
   ASSERT_TRUE(M.runToCompletion(S, 0, V));
   ASSERT_TRUE(M.runToCompletion(S, M.epilogueCtx(), V));
+}
+
+// A check cut off at MaxStates only covers the budget. dinphilo N=4,T=3
+// needs more than 2,000 states to verify its resolution, so the run must
+// end Aborted rather than claim the candidate.
+TEST(Cegis, StateBudgetCutoffAborts) {
+  bench::SuiteEntry E = suiteRow("dinphilo", "N=4,T=3");
+  auto P = E.Build();
+  CegisConfig Cfg = shippedDefaults();
+  Cfg.Checker.MaxStates = 2000;
+  ConcurrentCegis C(*P, Cfg);
+  CegisResult R = C.run();
+  EXPECT_TRUE(R.Stats.Aborted);
+  EXPECT_FALSE(R.Stats.Resolvable);
+}
+
+TEST(Enumerate, StateBudgetCutoffClaimsNothing) {
+  bench::SuiteEntry E = suiteRow("dinphilo", "N=4,T=3");
+  for (unsigned Workers : {1u, 2u}) {
+    auto P = E.Build();
+    CegisConfig Cfg = shippedDefaults();
+    Cfg.Checker.MaxStates = 2000;
+    Cfg.Checker.NumThreads = Workers;
+    EnumerateResult R = enumerateSolutions(*P, 8, Cfg);
+    EXPECT_TRUE(R.Solutions.empty()) << Workers << " workers";
+    EXPECT_FALSE(R.Exhausted) << Workers << " workers";
+    EXPECT_TRUE(R.Stats.Aborted) << Workers << " workers";
+  }
+}
+
+// The exact CEGIS trajectory of four light Figure-9 rows under the shipped
+// defaults: iterations, total checker states and the resolved candidate.
+// Changes below the search (Machine construction, footprint queries,
+// visited keys) must leave every search decision, and so these, as they
+// are.
+TEST(Cegis, PinnedTrajectories) {
+  struct Pin {
+    const char *Family, *Test;
+    unsigned Iterations;
+    uint64_t States;
+    HoleAssignment Candidate;
+  };
+  const Pin Pins[] = {
+      {"barrier1", "N=3,B=2", 11, 420, {4, 1, 6, 1, 1, 2, 3, 0, 0, 1}},
+      {"fineset1", "ar(ar|ar)", 6, 369, {0, 1, 2, 3, 2, 2, 2, 0}},
+      {"queueE2", "ed(ed|ed)", 6, 645, {1, 2, 0, 2, 4, 0, 4, 1, 4, 0, 0}},
+      {"dinphilo", "N=4,T=3", 2, 12144, {2, 2, 0, 1, 2, 6, 0, 0}},
+  };
+  for (const Pin &Want : Pins) {
+    bench::SuiteEntry E = suiteRow(Want.Family, Want.Test);
+    auto P = E.Build();
+    ConcurrentCegis C(*P, shippedDefaults());
+    CegisResult R = C.run();
+    std::string Row = std::string(Want.Family) + " " + Want.Test;
+    ASSERT_TRUE(R.Stats.Resolvable) << Row;
+    EXPECT_EQ(R.Stats.Iterations, Want.Iterations) << Row;
+    EXPECT_EQ(R.Stats.StatesExplored, Want.States) << Row;
+    EXPECT_EQ(R.Candidate, Want.Candidate) << Row;
+  }
 }

@@ -315,8 +315,9 @@ TEST(Spill, AgreementAndStateParityAcrossStores) {
         expectSameCex(RM, RS, Tag);
         // The clean exhaustive cells must actually exercise eviction —
         // otherwise this test proves nothing about the disk tier.
-        if (RM.Ok)
+        if (RM.Ok) {
           EXPECT_GT(RS.SpilledStates, 0u) << Tag;
+        }
       }
     }
   }
