@@ -3,14 +3,19 @@
 
 Usage: check_bench_regression.py CURRENT.json BASELINE.json [--tolerance F]
 
-Guards the batched/state-engine throughput numbers against silent decay:
-a row whose states/sec falls more than the tolerance (default 30%) below
-the baseline fails the run. Throughput is machine-dependent, so when the
-two reports' provenance rows disagree on the CPU model or active SIMD
-mode the comparison is skipped (exit 0 with a notice) — the baseline
-only binds runs on the machine that produced it. Agreement rows are
-re-checked unconditionally: those are machine-independent and must never
-regress anywhere.
+Guards the state-engine throughput numbers against silent decay: a row
+whose states/sec falls more than the tolerance (default 30%) below the
+baseline fails the run. Throughput is machine-dependent, so when the two
+reports' provenance rows disagree on the CPU model the comparison is
+skipped (exit 0 with a notice) — the baseline only binds runs on the
+machine that produced it. Agreement rows are re-checked unconditionally:
+those are machine-independent and must never regress anywhere.
+
+Coverage is checked first, on every machine: each baseline row recorded
+in the current report's mode (its `smoke` value) must be present in the
+current report, identified by its kind and descriptor fields (IDENT).
+A dropped or renamed bench row fails the run instead of silently
+escaping its throughput gate, byte ceiling or agreement check.
 
 Ceiling metrics go the other way: a baseline row carrying
 max_bytes_per_state caps the matching current row's bytes_per_state
@@ -28,7 +33,6 @@ import sys
 # throughput claim and are skipped.
 METRICS = {
     "micro": (("sketch", "test", "engine"), "states_per_sec"),
-    "batch_micro": (("sketch", "test", "shape"), "batched_states_per_sec"),
     # Warm-started solver rows: the metric is a cold/warm ratio, so it is
     # already normalized — but it is still timing-derived, hence kept
     # behind the same provenance guard as the raw throughput rows.
@@ -36,6 +40,10 @@ METRICS = {
 }
 
 AGREE_FLAGS = ("agrees", "ok")
+
+# Descriptor fields that, with the kind, identify a row across reports.
+IDENT = ("sketch", "test", "engine", "shape", "candidate", "workers", "por",
+         "symmetry", "workload")
 
 # Per-kind lower-is-better caps: (key fields, baseline ceiling field,
 # current measured field). A baseline row without the ceiling field binds
@@ -51,6 +59,25 @@ def provenance(rows):
         if row.get("kind") == "provenance":
             return row
     return {}
+
+
+def ident(row):
+    return (row.get("kind"),) + tuple(
+        (k, row[k]) for k in IDENT if k in row)
+
+
+def missing_rows(current, baseline):
+    """Baseline rows of the current report's mode absent from it."""
+    modes = {row["smoke"] for row in current if "smoke" in row}
+    present = {ident(row) for row in current}
+    return [
+        ident(row)
+        for row in baseline
+        if row.get("kind") != "provenance"
+        and "smoke" in row
+        and row["smoke"] in modes
+        and ident(row) not in present
+    ]
 
 
 def index(rows):
@@ -97,6 +124,12 @@ def main(argv):
         baseline = json.load(f)
 
     failures = []
+    # Coverage: machine-independent, so enforced before (and regardless
+    # of) the provenance check.
+    for row_id in missing_rows(current, baseline):
+        failures.append("baseline row missing from current report: %s"
+                        % (row_id,))
+
     for row in current:
         for flag in AGREE_FLAGS:
             if row.get("kind", "").endswith("agreement") and row.get(flag) is False:
@@ -123,19 +156,11 @@ def main(argv):
         print("check_bench_regression: %d ceiling rows checked" % capped)
 
     cur_prov, base_prov = provenance(current), provenance(baseline)
-    same_machine = all(
-        cur_prov.get(k) == base_prov.get(k) for k in ("cpu_model", "simd")
-    )
-    if not same_machine:
+    if cur_prov.get("cpu_model") != base_prov.get("cpu_model"):
         print(
             "check_bench_regression: provenance differs "
-            "(cpu %r vs %r, simd %r vs %r) -- throughput comparison skipped"
-            % (
-                cur_prov.get("cpu_model"),
-                base_prov.get("cpu_model"),
-                cur_prov.get("simd"),
-                base_prov.get("simd"),
-            )
+            "(cpu %r vs %r) -- throughput comparison skipped"
+            % (cur_prov.get("cpu_model"), base_prov.get("cpu_model"))
         )
     else:
         cur, base = index(current), index(baseline)

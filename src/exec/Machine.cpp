@@ -725,26 +725,6 @@ ExecOutcome Machine::execStep(State &S, unsigned Ctx, Violation &V) const {
   return ExecOutcome{StepResult::Ok, Pc};
 }
 
-void Machine::expandBatch(const State &Parent, const unsigned *Ctxs,
-                          unsigned N, State *Lanes, ExecOutcome *Outcomes,
-                          Violation *Viols) const {
-  for (unsigned I = 0; I < N; ++I) {
-    Lanes[I] = Parent; // vector assignment reuses the lane's buffer
-    Viols[I] = Violation{};
-    Outcomes[I] = execStep(Lanes[I], Ctxs[I], Viols[I]);
-  }
-}
-
-void Machine::expandBatch(const State *const *Parents, const unsigned *Ctxs,
-                          unsigned N, State *Lanes, ExecOutcome *Outcomes,
-                          Violation *Viols) const {
-  for (unsigned I = 0; I < N; ++I) {
-    Lanes[I] = *Parents[I]; // vector assignment reuses the lane's buffer
-    Viols[I] = Violation{};
-    Outcomes[I] = execStep(Lanes[I], Ctxs[I], Viols[I]);
-  }
-}
-
 bool Machine::runToCompletion(State &S, unsigned Ctx, Violation &V) const {
   for (;;) {
     ExecOutcome Out = execStep(S, Ctx, V);
@@ -822,35 +802,4 @@ uint64_t Machine::fingerprintWordsWith(
     return Hash(Words, Layout.SchedWords) ^ 0x9e3779b97f4a7c15ull;
   }
   return Hash(Words, Layout.SchedWords);
-}
-
-void Machine::fingerprintBatchWith(const SchedBlock &B, unsigned Lanes,
-                                   uint64_t (*Hash)(const int64_t *, size_t),
-                                   uint64_t *Out) const {
-  assert(B.numWords() == Layout.SchedWords && "block/layout shape mismatch");
-  if (!Packed.Enabled && Hash == &hashWords) {
-    hashWordsBatch(B.data(), Layout.SchedWords, Lanes, B.stride(), Out);
-    return;
-  }
-  // Packed layouts (and injected audit hashes) go through the scalar
-  // per-lane path so escapes and salting behave exactly as unbatched.
-  static thread_local std::vector<int64_t> Tmp;
-  Tmp.resize(Layout.SchedWords);
-  for (unsigned K = 0; K < Lanes; ++K) {
-    B.gatherLane(K, Tmp.data());
-    Out[K] = fingerprintWordsWith(Tmp.data(), Hash);
-  }
-}
-
-void Machine::fingerprintBatchPtrsWith(const int64_t *const *W,
-                                       unsigned Lanes,
-                                       uint64_t (*Hash)(const int64_t *,
-                                                        size_t),
-                                       uint64_t *Out) const {
-  if (!Packed.Enabled && Hash == &hashWords) {
-    hashWordsBatchPtrs(W, Layout.SchedWords, Lanes, Out);
-    return;
-  }
-  for (unsigned K = 0; K < Lanes; ++K)
-    Out[K] = fingerprintWordsWith(W[K], Hash);
 }

@@ -115,24 +115,6 @@ public:
   /// failure (the PC is left at the violating step).
   ExecOutcome execStep(State &S, unsigned Ctx, Violation &V) const;
 
-  /// Batched successor generation (the frontier engine's expansion step):
-  /// for each I in [0, N), Lanes[I] becomes \p Parent advanced one step by
-  /// context Ctxs[I], with Outcomes[I] / Viols[I] mirroring execStep's
-  /// result for that lane. Lane states are assigned in place, so their
-  /// buffers are reused across calls; semantics are exactly per-lane
-  /// copy + execStep.
-  void expandBatch(const State &Parent, const unsigned *Ctxs, unsigned N,
-                   State *Lanes, ExecOutcome *Outcomes,
-                   Violation *Viols) const;
-
-  /// Multi-parent variant: lane I expands *Parents[I] by Ctxs[I]. This is
-  /// what lets a frontier engine fill wide batches on few-threaded
-  /// programs — one parent contributes at most numThreads() lanes, so
-  /// full-width batches must pool successors across parents.
-  void expandBatch(const State *const *Parents, const unsigned *Ctxs,
-                   unsigned N, State *Lanes, ExecOutcome *Outcomes,
-                   Violation *Viols) const;
-
   /// Runs a single-threaded context to completion. \returns false and
   /// fills \p V on violation (a conditional atomic blocking in a
   /// single-threaded phase is reported as a deadlock).
@@ -168,8 +150,8 @@ public:
   /// holds the identical key bytes (packed rendering, escape marker and
   /// all) and stays valid until the next call on the same thread —
   /// unpacked keys view \p Words directly, packed ones a thread-local
-  /// scratch. The batched visited probes pair this with heterogeneous
-  /// map lookup so revisits allocate nothing.
+  /// scratch. The visited tables probe by view, so revisits allocate
+  /// nothing.
   std::string_view encodeWordsView(const int64_t *Words) const;
 
   /// fingerprintWords with an injected word-hash (the visited tables'
@@ -178,26 +160,6 @@ public:
   uint64_t fingerprintWordsWith(const int64_t *Words,
                                 uint64_t (*Hash)(const int64_t *,
                                                  size_t)) const;
-
-  /// Batched fingerprintWordsWith over a word-major SoA block: Out[K] is
-  /// bit-identical to fingerprintWordsWith on lane K's gathered words, for
-  /// each of the first \p Lanes lanes. Unpacked layouts under the default
-  /// hash run one hashWordsBatch sweep over the transposed words (the
-  /// SIMD path); packed layouts — and injected audit hashes — gather and
-  /// pack each lane through the exact scalar path.
-  void fingerprintBatchWith(const SchedBlock &B, unsigned Lanes,
-                            uint64_t (*Hash)(const int64_t *, size_t),
-                            uint64_t *Out) const;
-
-  /// Batched fingerprintWordsWith straight from per-lane word pointers
-  /// (lane K's scheduler words at W[K]): no SoA block involved. Unpacked
-  /// layouts under the default hash run the register-transposing SIMD
-  /// kernel (hashWordsBatchPtrs); packed layouts and injected hashes
-  /// fall back to the exact scalar path per lane. Out[K] is bit-identical
-  /// to fingerprintWordsWith(W[K], Hash) either way.
-  void fingerprintBatchPtrsWith(const int64_t *const *W, unsigned Lanes,
-                                uint64_t (*Hash)(const int64_t *, size_t),
-                                uint64_t *Out) const;
 
   /// The packed key layout (Enabled == false without ValueBounds tuning).
   const PackedLayout &packedLayout() const { return Packed; }

@@ -25,6 +25,9 @@
 ///    of everything the other threads may still do, with sleep sets
 ///    layered on in the sequential DFS.
 ///
+/// verify/Oracle.h holds the deliberately naive reference search that the
+/// agreement tests hold this checker to.
+///
 /// The checker is optionally multi-threaded (CheckerConfig::NumThreads):
 /// per-worker DFS over disjoint frontier subtrees with work-stealing, a
 /// sharded concurrent seen-state table, and cooperative cancellation on
@@ -41,7 +44,7 @@
 ///    so the reported counterexample is the same canonical trace Local
 ///    mode reports — only the state counts differ.
 ///  * NumThreads >= 2 (or 0 = hardware concurrency): verdict and
-///    counterexample depend only on (Seed, RandomRuns, Order, Por,
+///    counterexample depend only on (Seed, RandomRuns, Por,
 ///    DeterministicCex) — NOT on the worker count or on OS scheduling.
 ///    Falsifier run r always draws from an independent SplitMix64 stream
 ///    derived from (Seed, r), so which worker executes which run is
@@ -70,15 +73,6 @@
 ///    re-derivation restores the canonical trace. Verdicts agree with
 ///    Off by the automorphism argument in docs/SYMMETRY.md; state counts
 ///    shrink by up to the orbit size.
-///  * CheckerConfig::BatchWidth >= 2 (the batched frontier engine,
-///    docs/BATCHING.md) keeps every clause: batching regroups sibling
-///    successors into SoA blocks for SIMD fingerprinting and batched
-///    visited probes but explores the same state set, so verdicts agree
-///    with BatchWidth == 1; a violation found batched is (with
-///    DeterministicCex) re-derived by a scalar sequential search, so the
-///    reported counterexample is byte-identical as well. State counts
-///    can differ only in which sibling a dedup is charged to, never in
-///    the Fresh total.
 ///  * VisitedMode::Fingerprint keeps both clauses, with one asterisk: if
 ///    two distinct states genuinely collide in 64 bits (probability
 ///    ~n^2/2^65, measurable via AuditFingerprints), which of the two the
@@ -101,11 +95,6 @@
 
 namespace psketch {
 namespace verify {
-
-/// Exhaustive-search order. DFS is cheaper on memory; BFS returns
-/// shortest counterexamples, which can be stronger observations for the
-/// synthesizer (measured by bench_cex_ablation).
-enum class SearchOrder : uint8_t { Dfs, Bfs };
 
 /// What the visited table stores per state (docs/PARALLEL.md §5).
 ///  * Exact: the full scheduler-relevant state key (Machine::encodeState)
@@ -161,11 +150,11 @@ enum class SymmetryMode : uint8_t { Off, Orbit };
 ///    always a sound Prune) to sharded, log-structured, mmap'd runs of
 ///    sorted 8-byte fingerprints under SpillDir, each shard fronted by
 ///    an in-memory tag filter with no false negatives. Probes go filter
-///    → in-RAM tier → binary search over the runs, batched through the
-///    frontier pipeline. Spilled entries are fingerprint-grade even when
-///    the in-RAM tier is Exact (key bytes are dropped on eviction — the
-///    VisitedMode::Fingerprint one-sided-error trade applied to the cold
-///    set only; collisions can hide states, never fabricate a trace).
+///    → in-RAM tier → binary search over the runs. Spilled entries are
+///    fingerprint-grade even when the in-RAM tier is Exact (key bytes are
+///    dropped on eviction — the VisitedMode::Fingerprint one-sided-error
+///    trade applied to the cold set only; collisions can hide states,
+///    never fabricate a trace).
 ///    I/O failure is never fatal: the store stops evicting and the
 ///    search continues in RAM (CheckResult::SpillFallback).
 enum class VisitedStore : uint8_t { Memory, Spill };
@@ -180,7 +169,6 @@ struct CheckerConfig {
   /// proves a non-trivial orbit for the candidate, and is a no-op
   /// otherwise.
   SymmetryMode Symmetry = SymmetryMode::Orbit;
-  SearchOrder Order = SearchOrder::Dfs;
   uint64_t MaxStates = 4000000;   ///< exploration safety net
   uint64_t Seed = 1;              ///< random falsifier seed
   /// Checker workers: 1 = exact legacy single-threaded behaviour,
@@ -211,25 +199,10 @@ struct CheckerConfig {
   /// Cap on audit side-table entries (full keys kept for auditing);
   /// beyond it, new fingerprints go unaudited to bound memory.
   uint64_t AuditBudget = 1u << 20;
-  /// Sequential DFS engine: apply/undo delta log (default) or the legacy
-  /// copy-per-successor loop. Identical results either way (the
-  /// equivalence is tested); the knob exists for benchmarking and as an
-  /// escape hatch. BFS and the parallel engine always copy — their
-  /// frontiers outlive the step that created them.
-  bool UseUndoLog = true;
-  /// Successor batch width (docs/BATCHING.md). 1 (default) runs the
-  /// scalar engines bit-for-bit unchanged. >= 2 routes the exhaustive
-  /// phase through the batched frontier engine: up to BatchWidth
-  /// successors of one state are generated together into an SoA block,
-  /// then canonicalized, fingerprinted and probed against the visited
-  /// table as a batch (SIMD-accelerated where -DPSKETCH_SIMD allows).
-  /// Verdicts agree with BatchWidth == 1 by construction — batching only
-  /// changes the order siblings enter the visited table, never the
-  /// explored set — and under DeterministicCex (the default) a violation
-  /// found by a batched search is re-derived scalar, so the reported
-  /// counterexample is byte-identical to the BatchWidth == 1 trace.
-  /// Typical sweet spot: DefaultBatchWidth.
-  unsigned BatchWidth = 1;
+  /// Successor batch width: always 1 (one successor generated, hashed
+  /// and probed at a time). Not a setting; it stays readable because
+  /// reports print it in their configuration line.
+  static constexpr unsigned BatchWidth = 1;
   /// Visited-store tier (see the VisitedStore doc): Memory (default)
   /// keeps every visited key in RAM; Spill evicts fully-explored
   /// fingerprints to sorted on-disk runs when VisitedBudgetBytes is
@@ -246,12 +219,6 @@ struct CheckerConfig {
   /// watermark that triggers spilling.
   uint64_t VisitedBudgetBytes = 0;
 };
-
-/// The batch width `psketch_tool --batch` (and the benches) use when the
-/// caller asks for batching without naming a width: wide enough to
-/// amortize per-batch fixed costs and fill AVX2 lanes, small enough that
-/// a frame's worth of sibling states stays cache-resident.
-inline constexpr unsigned DefaultBatchWidth = 16;
 
 /// \returns the worker count \p Cfg resolves to: NumThreads, with 0
 /// mapped to std::thread::hardware_concurrency() (at least 1).

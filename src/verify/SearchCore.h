@@ -7,11 +7,12 @@
 ///
 /// \file
 /// Internal header: the step-level semantics shared by the sequential
-/// checker (ModelChecker.cpp) and the parallel work-stealing engine
-/// (ParallelChecker.cpp) — thread readiness, the POR local-step chain,
-/// frontier classification, epilogue checking, and one random-schedule
-/// falsifier run. Keeping these in one place is what guarantees the two
-/// engines can never disagree about what a schedule does.
+/// checker (ModelChecker.cpp), the parallel work-stealing engine
+/// (ParallelChecker.cpp) and the reference oracle (Oracle.cpp) — thread
+/// readiness, the POR local-step chain, frontier classification,
+/// epilogue checking, and one random-schedule falsifier run. Keeping
+/// these in one place is what guarantees the engines can never disagree
+/// about what a schedule does.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -175,9 +176,8 @@ inline bool randomRun(const exec::Machine &M, PorMode Por,
 
 //===----------------------------------------------------------------------===//
 // Ample-set selection and sleep sets (PorMode::Ample; docs/POR.md).
-// Shared by all engines so the copy DFS, the undo-log DFS, the BFS, and
-// the parallel checker make the same reduction decisions at the same
-// states.
+// Shared by both engines so the sequential DFS and the parallel checker
+// make the same reduction decisions at the same states.
 //===----------------------------------------------------------------------===//
 
 /// Picks a singleton ample set at a state with \p Ready contexts (pcs
@@ -200,7 +200,7 @@ inline int selectAmple(const exec::Machine &M, exec::State &S,
   return -1;
 }
 
-/// Sleep sets are per-thread bit masks; the sequential engines disable
+/// Sleep sets are per-thread bit masks; the sequential engine disables
 /// them beyond 64 threads (far past anything the suite models).
 constexpr unsigned MaxSleepThreads = 64;
 

@@ -7,6 +7,7 @@
 
 #include "desugar/Flatten.h"
 #include "verify/ModelChecker.h"
+#include "verify/Oracle.h"
 
 #include <gtest/gtest.h>
 
@@ -275,7 +276,7 @@ void buildRandomProgram(Program &P, psketch::Rng &R) {
 }
 
 /// Brute force: recursively explores every interleaving, no dedup/POR.
-bool oracleExplore(const exec::Machine &M, exec::State S) {
+bool bruteForceExplore(const exec::Machine &M, exec::State S) {
   bool AnyRan = false;
   for (unsigned T = 0; T < M.numThreads(); ++T) {
     exec::State Next = S;
@@ -288,7 +289,7 @@ bool oracleExplore(const exec::Machine &M, exec::State S) {
       return false;
     if (Out.Result == exec::StepResult::Blocked)
       continue;
-    if (!oracleExplore(M, std::move(Next)))
+    if (!bruteForceExplore(M, std::move(Next)))
       return false;
   }
   if (!AnyRan) {
@@ -310,9 +311,9 @@ TEST_P(CheckerOracleTest, AgreesWithBruteForce) {
     buildRandomProgram(P, R);
     flat::FlatProgram FP = flat::flatten(P);
     exec::Machine M(FP, {});
-    bool OracleOk = oracleExplore(M, M.initialState());
+    bool BruteOk = bruteForceExplore(M, M.initialState());
     CheckResult Got = checkCandidate(M);
-    ASSERT_EQ(Got.Ok, OracleOk)
+    ASSERT_EQ(Got.Ok, BruteOk)
         << "seed " << GetParam() << " iter " << Iter;
   }
 }
@@ -320,23 +321,23 @@ TEST_P(CheckerOracleTest, AgreesWithBruteForce) {
 INSTANTIATE_TEST_SUITE_P(Seeds, CheckerOracleTest, ::testing::Range(0, 6));
 
 //===----------------------------------------------------------------------===//
-// BFS search order.
+// The reference oracle (verify/Oracle.h).
 //===----------------------------------------------------------------------===//
 
-TEST(CheckerBfs, VerdictsMatchDfs) {
+TEST(Oracle, VerdictsMatchDfs) {
   for (bool Atomic : {false, true}) {
-    Program PD, PB;
-    buildCounter(PD, Atomic, 2, 4);
-    buildCounter(PB, Atomic, 2, 4);
-    CheckerConfig Dfs, Bfs;
-    Dfs.UseRandomFalsifier = Bfs.UseRandomFalsifier = false;
-    Bfs.Order = SearchOrder::Bfs;
-    EXPECT_EQ(check(PD, Dfs).Ok, Atomic);
-    EXPECT_EQ(check(PB, Bfs).Ok, Atomic);
+    Program P;
+    buildCounter(P, Atomic, 2, 4);
+    flat::FlatProgram FP = flat::flatten(P);
+    exec::Machine M(FP, {});
+    CheckerConfig Dfs;
+    Dfs.UseRandomFalsifier = false;
+    EXPECT_EQ(checkCandidate(M, Dfs).Ok, Atomic);
+    EXPECT_EQ(checkOracle(M).Ok, Atomic);
   }
 }
 
-TEST(CheckerBfs, FindsDeadlockWithSet) {
+TEST(Oracle, FindsDeadlockWithSet) {
   Program P;
   unsigned L0 = P.addGlobal("lock0", Type::Int, -1);
   unsigned L1 = P.addGlobal("lock1", Type::Int, -1);
@@ -352,38 +353,20 @@ TEST(CheckerBfs, FindsDeadlockWithSet) {
                P.unlock(P.locGlobal(Second), P.global(Second), Pid, "s"),
                P.unlock(P.locGlobal(First), P.global(First), Pid, "f")}));
   }
-  CheckerConfig Cfg;
-  Cfg.UseRandomFalsifier = false;
-  Cfg.Order = SearchOrder::Bfs;
-  CheckResult R = check(P, Cfg);
+  flat::FlatProgram FP = flat::flatten(P);
+  exec::Machine M(FP, {});
+  CheckResult R = checkOracle(M);
   ASSERT_FALSE(R.Ok);
   EXPECT_EQ(R.Cex->V.VKind, exec::Violation::Kind::Deadlock);
   EXPECT_EQ(R.Cex->DeadlockSet.size(), 2u);
 }
 
-TEST(CheckerBfs, CounterexampleIsNoLongerThanDfs) {
-  Program PD, PB;
-  buildCounter(PD, /*Atomic=*/false, 2, 4);
-  buildCounter(PB, /*Atomic=*/false, 2, 4);
-  CheckerConfig Dfs, Bfs;
-  Dfs.UseRandomFalsifier = Bfs.UseRandomFalsifier = false;
-  Bfs.Order = SearchOrder::Bfs;
-  CheckResult RD = check(PD, Dfs);
-  CheckResult RB = check(PB, Bfs);
-  ASSERT_FALSE(RD.Ok);
-  ASSERT_FALSE(RB.Ok);
-  EXPECT_LE(RB.Cex->Steps.size(), RD.Cex->Steps.size());
-}
-
-TEST(CheckerBfs, TraceReplaysOnTheMachine) {
+TEST(Oracle, TraceReplaysOnTheMachine) {
   Program P;
   buildCounter(P, /*Atomic=*/false, 2, 4);
   flat::FlatProgram FP = flat::flatten(P);
   exec::Machine M(FP, {});
-  CheckerConfig Cfg;
-  Cfg.UseRandomFalsifier = false;
-  Cfg.Order = SearchOrder::Bfs;
-  CheckResult R = checkCandidate(M, Cfg);
+  CheckResult R = checkOracle(M);
   ASSERT_FALSE(R.Ok);
   exec::State S = M.initialState();
   exec::Violation V;
@@ -393,24 +376,26 @@ TEST(CheckerBfs, TraceReplaysOnTheMachine) {
     ASSERT_EQ(Out.Result, exec::StepResult::Ok);
     ASSERT_EQ(Out.ExecutedPc, TS.Pc);
   }
+  // The racy counter fails in the epilogue: every thread has finished.
+  EXPECT_EQ(R.Cex->Where, Counterexample::Phase::Epilogue);
+  EXPECT_FALSE(M.runToCompletion(S, M.epilogueCtx(), V));
 }
 
-class CheckerBfsOracleTest : public ::testing::TestWithParam<int> {};
+/// The oracle itself against tree enumeration without any dedup.
+class OracleBruteForceTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(CheckerBfsOracleTest, AgreesWithBruteForce) {
+TEST_P(OracleBruteForceTest, AgreesWithBruteForce) {
   psketch::Rng R(static_cast<uint64_t>(GetParam()) * 104729 + 11);
   for (int Iter = 0; Iter < 25; ++Iter) {
     Program P;
     buildRandomProgram(P, R);
     flat::FlatProgram FP = flat::flatten(P);
     exec::Machine M(FP, {});
-    bool OracleOk = oracleExplore(M, M.initialState());
-    CheckerConfig Cfg;
-    Cfg.Order = SearchOrder::Bfs;
-    CheckResult Got = checkCandidate(M, Cfg);
-    ASSERT_EQ(Got.Ok, OracleOk)
-        << "seed " << GetParam() << " iter " << Iter;
+    bool BruteOk = bruteForceExplore(M, M.initialState());
+    CheckResult Got = checkOracle(M);
+    ASSERT_FALSE(Got.Exhausted);
+    ASSERT_EQ(Got.Ok, BruteOk) << "seed " << GetParam() << " iter " << Iter;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, CheckerBfsOracleTest, ::testing::Range(0, 4));
+INSTANTIATE_TEST_SUITE_P(Seeds, OracleBruteForceTest, ::testing::Range(0, 4));

@@ -16,21 +16,29 @@
 //  * Ample actually reduces: fewer states than Local on a reducible
 //    workload, with AmpleStates > 0, and the sequential engine's sleep
 //    sets skip at least one transition on a conflict-then-commute
-//    pattern;
+//    pattern (the reference oracle agreeing on the verdict);
+//  * on tuned Machines (lock annotations plus heap partition) the POR
+//    relations commutes / singletonIndependent equal their bitwise
+//    footprint definitions for every cross-thread pc pair, clamped
+//    beyond-range pcs included;
 //  * a CEGIS run under Ample is trajectory-identical to Local (same
 //    iterations, same final hole assignment) and verdict-identical to
 //    Off.
 //
 //===----------------------------------------------------------------------===//
 
+#include "analysis/AbsInt.h"
 #include "analysis/PointsTo.h"
 #include "benchmarks/Suite.h"
 #include "cegis/Cegis.h"
 #include "desugar/Flatten.h"
 #include "support/Rng.h"
 #include "verify/ModelChecker.h"
+#include "verify/Oracle.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 using namespace psketch;
 using namespace psketch::ir;
@@ -371,6 +379,147 @@ TEST(Footprint, HeapSitePartitionSoundOverRandomPrograms) {
 }
 
 //===----------------------------------------------------------------------===//
+// POR relations on analysis-tuned Machines.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A footprint spelled out bit by bit, for the reference relations below.
+struct BitFootprint {
+  std::vector<bool> Reads, Writes;
+  std::vector<uint32_t> Prot; ///< per bit; all-ones when untouched
+  bool HasProt = false;
+
+  explicit BitFootprint(unsigned Bits)
+      : Reads(Bits), Writes(Bits), Prot(Bits, ~0u) {}
+
+  /// Folds in one step: reads and writes union, and a touched bit's
+  /// protection narrows to the locks every access to it holds.
+  void add(const exec::Footprint &F) {
+    HasProt = HasProt || F.hasProtection();
+    for (unsigned B = 0; B < Reads.size(); ++B) {
+      if (!F.reads(B) && !F.writes(B))
+        continue;
+      Reads[B] = Reads[B] || F.reads(B);
+      Writes[B] = Writes[B] || F.writes(B);
+      Prot[B] &= F.protection(B);
+    }
+  }
+};
+
+/// docs/POR.md section 1: a write meeting a read or write conflicts,
+/// unless both sides must-hold a common lock on that bit.
+bool refConflict(const BitFootprint &A, const BitFootprint &B) {
+  for (unsigned Bit = 0; Bit < A.Reads.size(); ++Bit) {
+    bool Clash = (A.Writes[Bit] && (B.Reads[Bit] || B.Writes[Bit])) ||
+                 (A.Reads[Bit] && B.Writes[Bit]);
+    bool Protected =
+        A.HasProt && B.HasProt && (A.Prot[Bit] & B.Prot[Bit]) != 0;
+    if (Clash && !Protected)
+      return true;
+  }
+  return false;
+}
+
+} // namespace
+
+TEST(BatchRelations, TunedQueriesMatchFootprintDefinitions) {
+  unsigned Locked = 0, Partitioned = 0;
+  for (const char *Family :
+       {"queueE1", "queueE2", "queueDE1", "queueDE2", "barrier1", "barrier2",
+        "fineset1", "fineset2", "lazyset", "dinphilo"}) {
+    auto Row = lightestRow(Family);
+    ASSERT_TRUE(Row.has_value()) << Family;
+    auto P = Row->Build();
+    ir::HoleAssignment Cand;
+    if (Row->Reference) {
+      Cand = Row->Reference(*P);
+    } else {
+      auto Q = Row->Build();
+      cegis::ConcurrentCegis C(*Q);
+      cegis::CegisResult R = C.run();
+      ASSERT_TRUE(R.Stats.Resolvable) << Family;
+      Cand = R.Candidate;
+    }
+    flat::FlatProgram FP = flat::flatten(*P);
+    analysis::CandidateFacts Facts =
+        analysis::analyzeCandidate(*P, FP, Cand, analysis::AbsIntConfig(),
+                                   /*WithHeap=*/true);
+    ASSERT_FALSE(Facts.Refuted) << Family;
+    exec::MachineTuning Tuning;
+    Tuning.Locks = &Facts.Locks;
+    Tuning.Heap = &Facts.Heap;
+    exec::Machine M(FP, Cand, Tuning);
+    Locked += !Facts.Locks.empty();
+    Partitioned += M.shapeSites() != 0;
+
+    // Reference step and suffix footprints per thread, for every pc up to
+    // two past the body: the extra pcs probe the clamp to the empty
+    // end-of-body entry.
+    const unsigned NT = M.numThreads(), Bits = M.footprintBits();
+    std::vector<std::vector<BitFootprint>> Step(NT), Suffix(NT);
+    std::vector<uint32_t> Probe(NT);
+    for (unsigned T = 0; T < NT; ++T) {
+      uint32_t Len = static_cast<uint32_t>(M.bodyOf(T).Steps.size());
+      Probe[T] = Len + 2;
+      Suffix[T].assign(Probe[T] + 1, BitFootprint(Bits));
+      for (uint32_t Pc = 0; Pc < Probe[T]; ++Pc) {
+        Step[T].emplace_back(Bits);
+        Step[T].back().add(M.stepFootprint(T, Pc));
+      }
+      for (uint32_t Pc = Probe[T]; Pc-- > 0;) {
+        Suffix[T][Pc] = Suffix[T][Pc + 1];
+        if (Pc < Len)
+          Suffix[T][Pc].add(M.stepFootprint(T, Pc));
+      }
+    }
+
+    const uint32_t MaxProbe = *std::max_element(Probe.begin(), Probe.end());
+    exec::State Init = M.initialState();
+    for (unsigned A = 0; A < NT; ++A) {
+      for (uint32_t Pa = 0; Pa < Probe[A]; ++Pa) {
+        exec::State S = Init;
+        for (unsigned U = 0; U < NT; ++U)
+          S.setPc(U, Probe[U]); // everyone else finished
+        S.setPc(A, Pa);
+        uint32_t Na = M.normalizePc(S, A);
+        for (unsigned B = 0; B < NT; ++B) {
+          if (B == A)
+            continue;
+          for (uint32_t Pb = 0; Pb < Probe[B]; ++Pb) {
+            ASSERT_EQ(M.commutes(A, Pa, B, Pb),
+                      !refConflict(Step[A][Pa], Step[B][Pb]))
+                << Family << " " << A << "@" << Pa << " vs " << B << "@"
+                << Pb;
+            S.setPc(B, Pb);
+            ASSERT_EQ(M.singletonIndependent(S, A),
+                      !refConflict(Step[A][Na], Suffix[B][Pb]))
+                << Family << " " << A << "@" << Pa << " vs suffix " << B
+                << "@" << Pb;
+          }
+          S.setPc(B, Probe[B]);
+        }
+        // Every other thread live at once: the fold over their suffixes.
+        for (uint32_t K = 0; K < MaxProbe; ++K) {
+          bool Want = true;
+          for (unsigned U = 0; U < NT; ++U) {
+            if (U == A)
+              continue;
+            uint32_t Pu = std::min(K, Probe[U]);
+            S.setPc(U, Pu);
+            Want = Want && !refConflict(Step[A][Na], Suffix[U][Pu]);
+          }
+          ASSERT_EQ(M.singletonIndependent(S, A), Want)
+              << Family << " " << A << "@" << Pa << ", others at " << K;
+        }
+      }
+    }
+  }
+  EXPECT_GT(Locked, 0u) << "no row exercised the lock-protection channel";
+  EXPECT_GT(Partitioned, 0u) << "no row exercised the heap partition";
+}
+
+//===----------------------------------------------------------------------===//
 // Ample-mode agreement, reduction, and the sleep-set layer.
 //===----------------------------------------------------------------------===//
 
@@ -471,12 +620,10 @@ TEST(Por, SleepSetsSkipTransitions) {
   CheckerConfig Ample;
   Ample.UseRandomFalsifier = false;
   Ample.Por = PorMode::Ample;
-  for (bool UndoLog : {true, false}) {
-    Ample.UseUndoLog = UndoLog;
-    CheckResult R = checkCandidate(M, Ample);
-    EXPECT_TRUE(R.Ok) << "undo=" << UndoLog;
-    EXPECT_GT(R.SleepSkips, 0u) << "undo=" << UndoLog;
-  }
+  CheckResult R = checkCandidate(M, Ample);
+  EXPECT_TRUE(R.Ok);
+  EXPECT_GT(R.SleepSkips, 0u);
+  EXPECT_TRUE(checkOracle(M).Ok) << "the reference oracle must agree";
 }
 
 TEST(Por, DeadlockPreservedUnderAmple) {

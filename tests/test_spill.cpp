@@ -5,8 +5,8 @@
 //
 // The out-of-core visited store guarantees under test (docs/SPILL.md):
 //  * the tag filter never false-negatives over its inserted set;
-//  * SpillStore membership (scalar and batched) exactly matches a
-//    reference set across multiple runs and through run merges;
+//  * SpillStore membership exactly matches a reference set
+//    across multiple runs and through run merges;
 //  * the store removes its spill directory on destruction;
 //  * an unwritable spill directory, or a write failure mid-stream,
 //    degrades to the in-RAM store (CheckResult::SpillFallback) without
@@ -155,22 +155,6 @@ TEST(Spill, StoreContainsMatchesReference) {
     EXPECT_EQ(Store.contains(Fp & 63, Fp), Reference.count(Fp) != 0);
   }
 
-  // Batched parity: per shard, a sorted mix of present and absent
-  // fingerprints must answer exactly like the scalar probe.
-  std::vector<uint64_t> Mixed(Reference.begin(), Reference.end());
-  for (int I = 0; I < 4000; ++I)
-    Mixed.push_back(R.next());
-  std::vector<std::vector<uint64_t>> ByShard(64);
-  for (uint64_t Fp : Mixed)
-    ByShard[Fp & 63].push_back(Fp);
-  for (unsigned Shard = 0; Shard < 64; ++Shard) {
-    std::vector<uint64_t> &Slice = ByShard[Shard];
-    std::sort(Slice.begin(), Slice.end());
-    std::vector<uint8_t> Hit(Slice.size());
-    Store.containsBatch(Shard, Slice.data(), Slice.size(), Hit.data());
-    for (size_t I = 0; I < Slice.size(); ++I)
-      EXPECT_EQ(Hit[I] != 0, Reference.count(Slice[I]) != 0);
-  }
 }
 
 TEST(Spill, StoreCleansUpDirectory) {
