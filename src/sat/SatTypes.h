@@ -9,6 +9,7 @@
 /// The basic vocabulary of the SAT solver: variables, literals, and the
 /// three-valued truth type. Follows the MiniSat conventions (a literal is
 /// 2*var + sign, so both polarities of a variable index adjacent slots).
+/// Clauses themselves live in the solver's arena (sat/ClauseArena.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,7 +19,6 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace psketch {
 namespace sat {
@@ -81,21 +81,6 @@ inline LBool xorLBool(LBool Value, bool Negate) {
     return LBool::Undef;
   return boolToLBool((Value == LBool::True) != Negate);
 }
-
-/// A clause: literals plus learning metadata. Clauses are heap-allocated
-/// and referenced by pointer from the watch lists; deletion is handled by
-/// the solver's clause database.
-struct Clause {
-  std::vector<Lit> Lits;
-  double Activity = 0.0;
-  uint32_t LBD = 0;
-  bool Learnt = false;
-  bool Deleted = false;
-
-  size_t size() const { return Lits.size(); }
-  Lit &operator[](size_t I) { return Lits[I]; }
-  const Lit &operator[](size_t I) const { return Lits[I]; }
-};
 
 } // namespace sat
 } // namespace psketch

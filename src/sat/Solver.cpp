@@ -9,18 +9,12 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 using namespace psketch;
 using namespace psketch::sat;
 
 Solver::Solver() = default;
-
-Solver::~Solver() {
-  for (Clause *C : Problem)
-    delete C;
-  for (Clause *C : Learnts)
-    delete C;
-}
 
 Var Solver::newVar() {
   Var V = static_cast<Var>(Assigns.size());
@@ -28,7 +22,7 @@ Var Solver::newVar() {
   Polarity.push_back(1); // default phase: false, as in MiniSat
   Activity.push_back(0.0);
   Level.push_back(0);
-  Reason.push_back(nullptr);
+  Reason.push_back(ClauseRefUndef);
   Seen.push_back(0);
   HeapIndex.push_back(-1);
   Watches.emplace_back();
@@ -106,11 +100,12 @@ void Solver::varBumpActivity(Var V) {
     heapPercolateUp(HeapIndex[V]);
 }
 
-void Solver::claBumpActivity(Clause &C) {
-  C.Activity += ClauseInc;
-  if (C.Activity > 1e20) {
-    for (Clause *L : Learnts)
-      L->Activity *= 1e-20;
+void Solver::claBumpActivity(ClauseRef C) {
+  double A = Arena.activity(C) + ClauseInc;
+  Arena.setActivity(C, A);
+  if (A > 1e20) {
+    for (ClauseRef L : Learnts)
+      Arena.setActivity(L, Arena.activity(L) * 1e-20);
     ClauseInc *= 1e-20;
   }
 }
@@ -119,17 +114,19 @@ void Solver::claBumpActivity(Clause &C) {
 // Clause database.
 //===----------------------------------------------------------------------===//
 
-void Solver::attachClause(Clause *C) {
-  assert(C->size() >= 2 && "attaching too-short clause");
-  Watches[(~(*C)[0]).index()].push_back(Watcher{C, (*C)[1]});
-  Watches[(~(*C)[1]).index()].push_back(Watcher{C, (*C)[0]});
+void Solver::attachClause(ClauseRef C) {
+  assert(Arena.size(C) >= 2 && "attaching too-short clause");
+  uint32_t Tag = C << 1 | (Arena.size(C) == 2 ? 1u : 0u);
+  Lit L0 = Arena.lit(C, 0), L1 = Arena.lit(C, 1);
+  Watches[(~L0).index()].push_back(Watcher{Tag, L1});
+  Watches[(~L1).index()].push_back(Watcher{Tag, L0});
 }
 
-void Solver::detachClause(Clause *C) {
+void Solver::detachClause(ClauseRef C) {
   for (int Slot = 0; Slot < 2; ++Slot) {
-    std::vector<Watcher> &List = Watches[(~(*C)[Slot]).index()];
+    std::vector<Watcher> &List = Watches[(~Arena.lit(C, Slot)).index()];
     for (size_t I = 0; I < List.size(); ++I) {
-      if (List[I].C != C)
+      if (List[I].ref() != C)
         continue;
       List[I] = List.back();
       List.pop_back();
@@ -138,7 +135,38 @@ void Solver::detachClause(Clause *C) {
   }
 }
 
-bool Solver::addClause(std::vector<Lit> Lits) {
+bool Solver::satisfied(ClauseRef C) const {
+  for (uint32_t I = 0, Size = Arena.size(C); I < Size; ++I)
+    if (value(Arena.lit(C, I)) == LBool::True)
+      return true;
+  return false;
+}
+
+void Solver::collectGarbage() {
+  // Compact once a fifth of the arena is waste: copy every live clause,
+  // problem clauses first, into a fresh arena and remap each ref. Watch
+  // lists and both databases keep their order, so the search cannot
+  // tell. A reason whose clause was freed belongs to a root-level
+  // assignment that no analysis reads; it becomes Undef.
+  if (Arena.wasted() * 5 <= Arena.words())
+    return;
+  ClauseArena To;
+  To.reserve(Arena.words() - Arena.wasted());
+  for (ClauseRef &C : Problem)
+    C = Arena.relocate(C, To);
+  for (ClauseRef &C : Learnts)
+    C = Arena.relocate(C, To);
+  for (std::vector<Watcher> &List : Watches)
+    for (Watcher &W : List)
+      W.Tag = Arena.forward(W.ref()) << 1 | (W.Tag & 1u);
+  for (ClauseRef &R : Reason)
+    if (R != ClauseRefUndef)
+      R = Arena.relocated(R) ? Arena.forward(R) : ClauseRefUndef;
+  Arena = std::move(To);
+  ++Stats.Compactions;
+}
+
+bool Solver::addClause(const Lit *Lits, size_t Size) {
   if (!WarmStart)
     cancelUntil(0);
   if (!Ok)
@@ -150,18 +178,23 @@ bool Solver::addClause(std::vector<Lit> Lits) {
   // the clause — higher-level assignments are search state, not facts.
   // At decision level 0 rootValue() and value() coincide, so the legacy
   // path is unchanged.
-  std::sort(Lits.begin(), Lits.end());
-  std::vector<Lit> Kept;
+  // The clause is normalized in place in the AddScratch member buffer, so
+  // adding a clause allocates nothing beyond its arena words.
+  std::vector<Lit> &Kept = AddScratch;
+  Kept.assign(Lits, Lits + Size);
+  std::sort(Kept.begin(), Kept.end());
+  size_t Write = 0;
   Lit Prev = litUndef();
-  for (Lit L : Lits) {
+  for (Lit L : Kept) {
     assert(L.var() < numVars() && "clause mentions unknown variable");
     if (rootValue(L) == LBool::True || L == ~Prev)
       return true; // clause is already satisfied / tautological
     if (rootValue(L) == LBool::False || L == Prev)
       continue; // literal can never help / duplicate
-    Kept.push_back(L);
+    Kept[Write++] = L;
     Prev = L;
   }
+  Kept.resize(Write);
 
   if (Kept.empty()) {
     Ok = false;
@@ -170,10 +203,9 @@ bool Solver::addClause(std::vector<Lit> Lits) {
   if (Kept.size() == 1)
     return addUnitClause(Kept[0]);
   if (decisionLevel() > 0)
-    return attachWarm(std::move(Kept)); // warm start with a live trail
+    return attachWarm(); // warm start with a live trail
 
-  Clause *C = new Clause();
-  C->Lits = std::move(Kept);
+  ClauseRef C = Arena.alloc(Kept.data(), Kept.size(), /*Learnt=*/false);
   Problem.push_back(C);
   ++NumProblemClauses;
   attachClause(C);
@@ -194,20 +226,22 @@ bool Solver::addUnitClause(Lit L) {
       return false;
     }
   }
-  uncheckedEnqueue(L, nullptr);
-  if (propagate() != nullptr)
+  uncheckedEnqueue(L, ClauseRefUndef);
+  if (propagate() != ClauseRefUndef)
     Ok = false;
   return Ok;
 }
 
-bool Solver::attachWarm(std::vector<Lit> Kept) {
+bool Solver::attachWarm() {
   // Adding a clause while the trail is live (docs/SOLVER.md). The watches
   // go on the two "best" literals — non-false ones first, then the
   // deepest false levels, so a future backtrack un-falsifies the watched
   // slots first — and the solver backtracks only as far as the clause
   // forces: not at all when two literals are non-false, an in-place
   // propagation when the clause is unit under the trail, and past the
-  // deepest false level when it is falsified outright.
+  // deepest false level when it is falsified outright. The clause is the
+  // normalized one addClause left in AddScratch.
+  std::vector<Lit> &Kept = AddScratch;
   auto WatchRank = [this](Lit L) {
     return value(L) == LBool::False ? Level[L.var()] : numVars() + 1;
   };
@@ -233,23 +267,21 @@ bool Solver::attachWarm(std::vector<Lit> Kept) {
     PlaceWatches();
   }
 
-  Clause *C = new Clause();
-  C->Lits = std::move(Kept);
+  ClauseRef C = Arena.alloc(Kept.data(), Kept.size(), /*Learnt=*/false);
   Problem.push_back(C);
   ++NumProblemClauses;
   attachClause(C);
 
-  const Clause &Ref = *C;
-  if (value(Ref[0]) == LBool::Undef && value(Ref[1]) == LBool::False) {
+  if (value(Kept[0]) == LBool::Undef && value(Kept[1]) == LBool::False) {
     // Unit under the trail: propagate in place at the current level.
-    uncheckedEnqueue(Ref[0], C);
-    if (propagate() != nullptr) {
+    uncheckedEnqueue(Kept[0], C);
+    if (propagate() != ClauseRefUndef) {
       // The forced literal conflicts with the trail. There is no search
       // frame to learn in, so fall back to the root; the next solve
       // rebuilds the useful prefix from the replay queue.
       saveReplay();
       cancelUntil(0);
-      if (propagate() != nullptr)
+      if (propagate() != ClauseRefUndef)
         Ok = false;
     }
   }
@@ -269,7 +301,7 @@ void Solver::saveReplay() {
     if (Begin >= End)
       continue; // dummy level opened for an already-satisfied assumption
     Lit D = Trail[Begin];
-    if (Reason[D.var()] == nullptr)
+    if (Reason[D.var()] == ClauseRefUndef)
       ReplayQueue.push_back(D);
   }
 }
@@ -285,7 +317,7 @@ void Solver::setWarmStart(bool Enabled) {
   WarmStart = Enabled;
 }
 
-void Solver::uncheckedEnqueue(Lit L, Clause *From) {
+void Solver::uncheckedEnqueue(Lit L, ClauseRef From) {
   assert(value(L) == LBool::Undef && "enqueueing assigned literal");
   Var V = L.var();
   Assigns[V] = boolToLBool(!L.sign());
@@ -295,39 +327,65 @@ void Solver::uncheckedEnqueue(Lit L, Clause *From) {
   ++Stats.Propagations;
 }
 
-Clause *Solver::propagate() {
-  Clause *Conflict = nullptr;
+ClauseRef Solver::propagate() {
+  ClauseRef Conflict = ClauseRefUndef;
   while (PropagateHead < Trail.size()) {
     Lit P = Trail[PropagateHead++]; // P is now true
+    Lit FalseLit = ~P;
     std::vector<Watcher> &List = Watches[P.index()];
-    size_t Read = 0, Write = 0;
-    while (Read < List.size()) {
-      Watcher W = List[Read];
+    Watcher *Read = List.data(), *Write = List.data();
+    Watcher *End = Read + List.size();
+    while (Read != End) {
+      Watcher W = *Read;
       // Cheap out: if the cached blocker is true, the clause is satisfied.
-      if (value(W.Blocker) == LBool::True) {
-        List[Write++] = List[Read++];
+      LBool BlockerValue = value(W.Blocker);
+      if (BlockerValue == LBool::True) {
+        *Write++ = *Read++;
         continue;
       }
-      Clause &C = *W.C;
-      Lit FalseLit = ~P;
-      if (C[0] == FalseLit)
-        std::swap(C[0], C[1]);
-      assert(C[1] == FalseLit && "watch invariant broken");
       ++Read;
+      if (W.binary()) {
+        // The blocker of a binary is its other literal: the clause is unit
+        // or conflicting without reading it.
+        *Write++ = W;
+        if (BlockerValue == LBool::False) {
+          // analyze walks a conflict from slot 0, and the order it bumps
+          // activities in can break heap ties: store [other, FalseLit],
+          // the order a long conflicting clause has (false watch last).
+          Arena.setLit(W.ref(), 0, W.Blocker);
+          Arena.setLit(W.ref(), 1, FalseLit);
+          Conflict = W.ref();
+          PropagateHead = Trail.size();
+          while (Read != End)
+            *Write++ = *Read++;
+        } else {
+          uncheckedEnqueue(W.Blocker, W.ref());
+        }
+        continue;
+      }
 
-      Lit First = C[0];
+      uint32_t *C = Arena.lits(W.ref());
+      const uint32_t FalseCode = static_cast<uint32_t>(FalseLit.index());
+      if (C[0] == FalseCode)
+        std::swap(C[0], C[1]);
+      assert(C[1] == FalseCode && "watch invariant broken");
+
+      Lit First = Lit::fromCode(static_cast<int32_t>(C[0]));
       if (First != W.Blocker && value(First) == LBool::True) {
-        List[Write++] = Watcher{W.C, First};
+        *Write++ = Watcher{W.Tag, First};
         continue;
       }
 
       // Look for a replacement watch.
       bool Rewatched = false;
-      for (size_t K = 2; K < C.size(); ++K) {
-        if (value(C[K]) == LBool::False)
+      const uint32_t Size = Arena.size(W.ref());
+      for (uint32_t K = 2; K < Size; ++K) {
+        Lit Candidate = Lit::fromCode(static_cast<int32_t>(C[K]));
+        if (value(Candidate) == LBool::False)
           continue;
-        std::swap(C[1], C[K]);
-        Watches[(~C[1]).index()].push_back(Watcher{W.C, First});
+        C[1] = C[K];
+        C[K] = FalseCode;
+        Watches[(~Candidate).index()].push_back(Watcher{W.Tag, First});
         Rewatched = true;
         break;
       }
@@ -335,17 +393,17 @@ Clause *Solver::propagate() {
         continue;
 
       // Clause is unit or conflicting under the current assignment.
-      List[Write++] = Watcher{W.C, First};
+      *Write++ = Watcher{W.Tag, First};
       if (value(First) == LBool::False) {
-        Conflict = W.C;
+        Conflict = W.ref();
         PropagateHead = Trail.size();
-        while (Read < List.size())
-          List[Write++] = List[Read++];
+        while (Read != End)
+          *Write++ = *Read++;
       } else {
-        uncheckedEnqueue(First, W.C);
+        uncheckedEnqueue(First, W.ref());
       }
     }
-    List.resize(Write);
+    List.resize(static_cast<size_t>(Write - List.data()));
   }
   return Conflict;
 }
@@ -358,6 +416,15 @@ static uint32_t abstractLevel(int Level) {
   return 1u << (Level & 31);
 }
 
+void Solver::reasonFirst(ClauseRef C, Lit Implied) {
+  // A long reason already holds its implied literal in slot 0: propagate
+  // put it there. A binary reason was enqueued from its watcher without
+  // being read, so its implied literal goes to slot 0 now.
+  if (Arena.size(C) == 2 && Arena.lit(C, 0) != Implied)
+    Arena.swapLits(C, 0, 1);
+  assert(Arena.lit(C, 0) == Implied && "reason without its implied literal");
+}
+
 bool Solver::litRedundant(Lit P, uint32_t AbstractLevels) {
   AnalyzeStack.clear();
   AnalyzeStack.push_back(P);
@@ -365,13 +432,14 @@ bool Solver::litRedundant(Lit P, uint32_t AbstractLevels) {
   while (!AnalyzeStack.empty()) {
     Lit X = AnalyzeStack.back();
     AnalyzeStack.pop_back();
-    assert(Reason[X.var()] && "redundancy check hit a decision literal");
-    Clause &C = *Reason[X.var()];
-    for (size_t I = 1; I < C.size(); ++I) {
-      Lit Q = C[I];
+    ClauseRef C = Reason[X.var()];
+    assert(C != ClauseRefUndef && "redundancy check hit a decision literal");
+    reasonFirst(C, ~X);
+    for (uint32_t I = 1, Size = Arena.size(C); I < Size; ++I) {
+      Lit Q = Arena.lit(C, I);
       if (Seen[Q.var()] || Level[Q.var()] == 0)
         continue;
-      if (Reason[Q.var()] != nullptr &&
+      if (Reason[Q.var()] != ClauseRefUndef &&
           (abstractLevel(Level[Q.var()]) & AbstractLevels) != 0) {
         Seen[Q.var()] = 1;
         AnalyzeStack.push_back(Q);
@@ -388,7 +456,7 @@ bool Solver::litRedundant(Lit P, uint32_t AbstractLevels) {
   return true;
 }
 
-void Solver::analyze(Clause *Conflict, std::vector<Lit> &Learnt,
+void Solver::analyze(ClauseRef Conflict, std::vector<Lit> &Learnt,
                      int &BacktrackLevel, uint32_t &LBD) {
   Learnt.clear();
   Learnt.push_back(litUndef()); // slot for the asserting literal
@@ -399,12 +467,15 @@ void Solver::analyze(Clause *Conflict, std::vector<Lit> &Learnt,
   int TrailIndex = static_cast<int>(Trail.size()) - 1;
 
   do {
-    assert(Conflict && "no reason clause during analysis");
-    Clause &C = *Conflict;
-    if (C.Learnt)
+    assert(Conflict != ClauseRefUndef && "no reason clause during analysis");
+    ClauseRef C = Conflict;
+    if (Arena.learnt(C))
       claBumpActivity(C);
-    for (size_t I = (P == litUndef()) ? 0 : 1; I < C.size(); ++I) {
-      Lit Q = C[I];
+    if (P != litUndef())
+      reasonFirst(C, P);
+    for (uint32_t I = (P == litUndef()) ? 0 : 1, Size = Arena.size(C);
+         I < Size; ++I) {
+      Lit Q = Arena.lit(C, I);
       Var V = Q.var();
       if (Seen[V] || Level[V] == 0)
         continue;
@@ -432,7 +503,7 @@ void Solver::analyze(Clause *Conflict, std::vector<Lit> &Learnt,
     AbstractLevels |= abstractLevel(Level[Learnt[I].var()]);
   size_t Write = 1;
   for (size_t I = 1; I < Learnt.size(); ++I) {
-    if (Reason[Learnt[I].var()] == nullptr ||
+    if (Reason[Learnt[I].var()] == ClauseRefUndef ||
         !litRedundant(Learnt[I], AbstractLevels))
       Learnt[Write++] = Learnt[I];
   }
@@ -450,14 +521,19 @@ void Solver::analyze(Clause *Conflict, std::vector<Lit> &Learnt,
     BacktrackLevel = Level[Learnt[1].var()];
   }
 
-  // Literal-block distance: the number of distinct decision levels.
-  std::vector<int> Levels;
-  Levels.reserve(Learnt.size());
-  for (Lit L : Learnt)
-    Levels.push_back(Level[L.var()]);
-  std::sort(Levels.begin(), Levels.end());
-  LBD = static_cast<uint32_t>(
-      std::unique(Levels.begin(), Levels.end()) - Levels.begin());
+  // Literal-block distance: the number of distinct decision levels,
+  // counted by stamping each level with this analysis's number.
+  if (LevelStamp.size() <= static_cast<size_t>(decisionLevel()))
+    LevelStamp.resize(static_cast<size_t>(decisionLevel()) + 1, 0);
+  ++LbdStamp;
+  LBD = 0;
+  for (Lit L : Learnt) {
+    uint64_t &Stamp = LevelStamp[static_cast<size_t>(Level[L.var()])];
+    if (Stamp != LbdStamp) {
+      Stamp = LbdStamp;
+      ++LBD;
+    }
+  }
 
   for (Lit L : AnalyzeToClear)
     Seen[L.var()] = 0;
@@ -472,7 +548,7 @@ void Solver::cancelUntil(int TargetLevel) {
     Var V = Trail[I].var();
     Assigns[V] = LBool::Undef;
     Polarity[V] = static_cast<char>(Trail[I].sign());
-    Reason[V] = nullptr;
+    Reason[V] = ClauseRefUndef;
     if (!heapContains(V))
       heapInsert(V);
   }
@@ -492,28 +568,33 @@ Lit Solver::pickBranchLit() {
 
 void Solver::reduceDB() {
   // Delete-first ordering: high LBD, then low activity.
-  std::sort(Learnts.begin(), Learnts.end(), [](Clause *A, Clause *B) {
-    if (A->LBD != B->LBD)
-      return A->LBD > B->LBD;
-    return A->Activity < B->Activity;
+  std::sort(Learnts.begin(), Learnts.end(), [this](ClauseRef A, ClauseRef B) {
+    if (Arena.lbd(A) != Arena.lbd(B))
+      return Arena.lbd(A) > Arena.lbd(B);
+    return Arena.activity(A) < Arena.activity(B);
   });
-  auto IsLocked = [this](Clause *C) {
-    return Reason[(*C)[0].var()] == C && value((*C)[0]) == LBool::True;
+  // Binaries are never deleted, so a candidate's implied literal, if it
+  // is a reason, sits in slot 0.
+  auto IsLocked = [this](ClauseRef C) {
+    Lit First = Arena.lit(C, 0);
+    return Reason[First.var()] == C && value(First) == LBool::True;
   };
   size_t Target = Learnts.size() / 2;
   size_t Write = 0;
   for (size_t I = 0; I < Learnts.size(); ++I) {
-    Clause *C = Learnts[I];
-    bool Deletable = I < Target && C->size() > 2 && C->LBD > 2 && !IsLocked(C);
+    ClauseRef C = Learnts[I];
+    bool Deletable = I < Target && Arena.size(C) > 2 && Arena.lbd(C) > 2 &&
+                     !IsLocked(C);
     if (Deletable) {
       detachClause(C);
-      delete C;
+      Arena.free(C);
       ++Stats.DeletedClauses;
       continue;
     }
     Learnts[Write++] = C;
   }
   Learnts.resize(Write);
+  collectGarbage();
 }
 
 void Solver::removeSatisfiedLearnts() {
@@ -521,31 +602,26 @@ void Solver::removeSatisfiedLearnts() {
   // Root-level assignments never need their reasons again; clearing them
   // here keeps the clause database free to delete any satisfied clause.
   for (Lit L : Trail)
-    Reason[L.var()] = nullptr;
-  auto IsSatisfied = [this](Clause *C) {
-    for (Lit L : C->Lits)
-      if (value(L) == LBool::True)
-        return true;
-    return false;
-  };
+    Reason[L.var()] = ClauseRefUndef;
   size_t Write = 0;
-  for (Clause *C : Learnts) {
-    if (IsSatisfied(C)) {
+  for (ClauseRef C : Learnts) {
+    if (satisfied(C)) {
       detachClause(C);
-      delete C;
+      Arena.free(C);
       ++Stats.DeletedClauses;
       continue;
     }
     Learnts[Write++] = C;
   }
   Learnts.resize(Write);
+  collectGarbage();
 }
 
 //===----------------------------------------------------------------------===//
 // Inprocessing (warm start): root-level simplification between solves.
 //===----------------------------------------------------------------------===//
 
-bool Solver::reinstallRoot(Clause *C, bool IsProblem) {
+bool Solver::reinstallRoot(ClauseRef C, bool IsProblem) {
   // Re-admit a currently-detached clause under the live root assignment:
   // delete it when satisfied, strip false literals, promote a survivor
   // of one literal to a root fact. \returns true iff the clause was
@@ -556,30 +632,29 @@ bool Solver::reinstallRoot(Clause *C, bool IsProblem) {
       --NumProblemClauses;
     else
       ++Stats.DeletedClauses;
-    delete C;
+    Arena.free(C);
     return false;
   };
-  for (Lit L : C->Lits)
-    if (value(L) == LBool::True) {
-      ++IStats.RemovedSatisfied;
-      return Drop();
-    }
-  C->Lits.erase(std::remove_if(C->Lits.begin(), C->Lits.end(),
-                               [this](Lit L) {
-                                 return value(L) == LBool::False;
-                               }),
-                C->Lits.end());
-  if (C->Lits.empty()) {
+  if (satisfied(C)) {
+    ++IStats.RemovedSatisfied;
+    return Drop();
+  }
+  uint32_t Kept = 0;
+  for (uint32_t I = 0, Size = Arena.size(C); I < Size; ++I)
+    if (value(Arena.lit(C, I)) != LBool::False)
+      Arena.setLit(C, Kept++, Arena.lit(C, I));
+  if (Kept == 0) {
     Ok = false;
     return Drop();
   }
-  if (C->Lits.size() == 1) {
-    Lit Unit = (*C)[0];
-    uncheckedEnqueue(Unit, nullptr);
-    if (propagate() != nullptr)
+  if (Kept == 1) {
+    Lit Unit = Arena.lit(C, 0);
+    uncheckedEnqueue(Unit, ClauseRefUndef);
+    if (propagate() != ClauseRefUndef)
       Ok = false;
     return Drop();
   }
+  Arena.shrink(C, Kept);
   attachClause(C);
   return true;
 }
@@ -588,17 +663,17 @@ void Solver::sweepSatisfied() {
   // The warm-start replacement for the per-solve removeSatisfiedLearnts:
   // also sweeps satisfied *problem* clauses, which appear when a closed
   // constraint scope's activation literal is forced false (melted).
-  auto SweepAll = [this](std::vector<Clause *> &Db, bool IsProblem) {
+  auto SweepAll = [this](std::vector<ClauseRef> &Db, bool IsProblem) {
     size_t Write = 0;
     for (size_t I = 0; I < Db.size(); ++I) {
-      Clause *C = Db[I];
+      ClauseRef C = Db[I];
       if (!Ok) { // root conflict: stop simplifying, keep the rest as-is
         Db[Write++] = C;
         continue;
       }
       bool Touched = false;
-      for (Lit L : C->Lits)
-        if (value(L) != LBool::Undef) {
+      for (uint32_t K = 0, Size = Arena.size(C); K < Size; ++K)
+        if (value(Arena.lit(C, K)) != LBool::Undef) {
           Touched = true;
           break;
         }
@@ -622,11 +697,11 @@ void Solver::strengthenSelfSubsume() {
   // the Seen scratch per variable: 1 = positive literal in C, 2 =
   // negative.
   std::vector<std::vector<Lit>> Bin(Watches.size());
-  auto Collect = [&](const std::vector<Clause *> &Db) {
-    for (Clause *C : Db)
-      if (C->size() == 2) {
-        Bin[(*C)[0].index()].push_back((*C)[1]);
-        Bin[(*C)[1].index()].push_back((*C)[0]);
+  auto Collect = [&](const std::vector<ClauseRef> &Db) {
+    for (ClauseRef C : Db)
+      if (Arena.size(C) == 2) {
+        Bin[Arena.lit(C, 0).index()].push_back(Arena.lit(C, 1));
+        Bin[Arena.lit(C, 1).index()].push_back(Arena.lit(C, 0));
       }
   };
   Collect(Problem);
@@ -640,20 +715,25 @@ void Solver::strengthenSelfSubsume() {
   // it amortizes over.
   uint64_t ScanBudget = 2u << 20;
 
-  auto Process = [&](std::vector<Clause *> &Db, bool IsProblem) {
+  std::vector<Lit> Removable;
+  auto Process = [&](std::vector<ClauseRef> &Db, bool IsProblem) {
     size_t Write = 0;
     for (size_t I = 0; I < Db.size(); ++I) {
-      Clause *C = Db[I];
-      if (!Ok || ScanBudget == 0 || C->size() == 2) {
+      ClauseRef C = Db[I];
+      const uint32_t Size = Arena.size(C);
+      if (!Ok || ScanBudget == 0 || Size == 2) {
         Db[Write++] = C;
         continue;
       }
-      for (Lit L : C->Lits)
+      for (uint32_t K = 0; K < Size; ++K) {
+        Lit L = Arena.lit(C, K);
         Seen[L.var()] = L.sign() ? 2 : 1;
+      }
 
       bool Subsumed = false;
-      std::vector<Lit> Removable;
-      for (Lit L : C->Lits) {
+      Removable.clear();
+      for (uint32_t K = 0; K < Size; ++K) {
+        Lit L = Arena.lit(C, K);
         for (Lit M : Bin[L.index()]) {
           if (ScanBudget > 0)
             --ScanBudget;
@@ -673,8 +753,8 @@ void Solver::strengthenSelfSubsume() {
           }
         }
       }
-      for (Lit L : C->Lits)
-        Seen[L.var()] = 0;
+      for (uint32_t K = 0; K < Size; ++K)
+        Seen[Arena.lit(C, K).var()] = 0;
 
       if (Subsumed) {
         ++IStats.SubsumedClauses;
@@ -683,18 +763,25 @@ void Solver::strengthenSelfSubsume() {
           --NumProblemClauses;
         else
           ++Stats.DeletedClauses;
-        delete C;
+        Arena.free(C);
         continue;
       }
       if (Removable.empty() ||
-          C->size() - Removable.size() < 2) { // keep at least a binary
+          Size - Removable.size() < 2) { // keep at least a binary
         Db[Write++] = C;
         continue;
       }
       IStats.StrengthenedLits += Removable.size();
       detachClause(C);
-      for (Lit L : Removable)
-        C->Lits.erase(std::find(C->Lits.begin(), C->Lits.end(), L));
+      // Drop the removable literals, keeping the survivors in order.
+      uint32_t Kept = 0;
+      for (uint32_t K = 0; K < Size; ++K) {
+        Lit L = Arena.lit(C, K);
+        if (std::find(Removable.begin(), Removable.end(), L) ==
+            Removable.end())
+          Arena.setLit(C, Kept++, L);
+      }
+      Arena.shrink(C, Kept);
       if (reinstallRoot(C, IsProblem))
         Db[Write++] = C;
     }
@@ -704,43 +791,45 @@ void Solver::strengthenSelfSubsume() {
   Process(Problem, /*IsProblem=*/true);
 }
 
-bool Solver::vivifyOne(Clause *C) {
+bool Solver::vivifyOne(ClauseRef C) {
   // Distillation: assume the negation of the clause literal by literal.
   // A conflict proves the assumed prefix is itself a clause; a literal
   // found true completes a shorter clause; a literal found false is
   // redundant. The clause is detached throughout so it cannot satisfy
   // itself via its own watches.
   assert(decisionLevel() == 0 && "root-level vivification only");
+  // The kept prefix is a subsequence of the clause, so it is written back
+  // over the clause's own slots as it grows.
   detachClause(C);
-  std::vector<Lit> Prefix;
-  Prefix.reserve(C->size());
-  for (size_t I = 0; I < C->Lits.size(); ++I) {
-    Lit L = C->Lits[I];
+  const uint32_t Size = Arena.size(C);
+  uint32_t Prefix = 0;
+  for (uint32_t I = 0; I < Size; ++I) {
+    Lit L = Arena.lit(C, I);
     if (value(L) == LBool::True) {
-      Prefix.push_back(L); // ¬prefix forces L: C shrinks to prefix + L
+      Arena.setLit(C, Prefix++, L); // ¬prefix forces L: C is prefix + L
       break;
     }
     if (value(L) == LBool::False)
       continue; // ¬prefix refutes L: redundant
-    if (I + 1 == C->Lits.size()) {
-      Prefix.push_back(L); // last literal: nothing left to learn
+    if (I + 1 == Size) {
+      Arena.setLit(C, Prefix++, L); // last literal: nothing left to learn
       break;
     }
     TrailLim.push_back(static_cast<int>(Trail.size()));
-    uncheckedEnqueue(~L, nullptr);
-    Prefix.push_back(L);
-    if (propagate() != nullptr)
+    uncheckedEnqueue(~L, ClauseRefUndef);
+    Arena.setLit(C, Prefix++, L);
+    if (propagate() != ClauseRefUndef)
       break; // ¬prefix is contradictory: prefix is a clause
   }
   cancelUntil(0);
 
-  if (Prefix.size() >= C->Lits.size()) {
+  if (Prefix >= Size) {
     attachClause(C);
     return true;
   }
-  IStats.VivifiedLits += C->Lits.size() - Prefix.size();
-  C->Lits = std::move(Prefix);
-  C->LBD = std::min(C->LBD, static_cast<uint32_t>(C->Lits.size()));
+  IStats.VivifiedLits += Size - Prefix;
+  Arena.setLbd(C, std::min(Arena.lbd(C), Prefix));
+  Arena.shrink(C, Prefix); // under two literals, reinstallRoot frees it
   return reinstallRoot(C, /*IsProblem=*/false);
 }
 
@@ -752,10 +841,10 @@ void Solver::vivify() {
   uint64_t Start = Stats.Propagations;
   size_t Write = 0;
   for (size_t I = 0; I < Learnts.size(); ++I) {
-    Clause *C = Learnts[I];
+    ClauseRef C = Learnts[I];
     bool Keep = true;
     if (Ok && Stats.Propagations - Start < PropagationBudget &&
-        C->size() >= 3 && C->size() <= 16 && C->LBD <= 6)
+        Arena.size(C) >= 3 && Arena.size(C) <= 16 && Arena.lbd(C) <= 6)
       Keep = vivifyOne(C);
     if (Keep)
       Learnts[Write++] = C;
@@ -771,7 +860,7 @@ void Solver::inprocess() {
   // Root assignments never need their reasons again; clearing them frees
   // every clause for deletion or rewriting.
   for (Lit L : Trail)
-    Reason[L.var()] = nullptr;
+    Reason[L.var()] = ClauseRefUndef;
   sweepSatisfied();
   if (Ok)
     strengthenSelfSubsume();
@@ -782,6 +871,7 @@ void Solver::inprocess() {
   // (reduceDB keeps glue clauses — LBD <= 2 or binary — unconditionally.)
   MaxLearnts = std::max(static_cast<double>(NumProblemClauses) / 3.0 + 2000,
                         MaxLearnts * 0.95);
+  collectGarbage();
 }
 
 void Solver::exportClauses(std::vector<std::vector<Lit>> &Out) const {
@@ -799,8 +889,8 @@ void Solver::exportClauses(std::vector<std::vector<Lit>> &Out) const {
       TrailLim.empty() ? Trail.size() : static_cast<size_t>(TrailLim[0]);
   for (size_t I = 0; I < RootEnd; ++I)
     Out.push_back({Trail[I]});
-  for (const Clause *C : Problem)
-    Out.push_back(C->Lits);
+  for (ClauseRef C : Problem)
+    Out.push_back(Arena.litVector(C));
 }
 
 //===----------------------------------------------------------------------===//
@@ -828,8 +918,8 @@ bool Solver::search(uint64_t ConflictsBeforeRestart, bool &DoneOut) {
   std::vector<Lit> Learnt;
 
   for (;;) {
-    Clause *Conflict = propagate();
-    if (Conflict != nullptr) {
+    ClauseRef Conflict = propagate();
+    if (Conflict != ClauseRefUndef) {
       ++Stats.Conflicts;
       ++LocalConflicts;
       if (decisionLevel() == 0) {
@@ -846,15 +936,14 @@ bool Solver::search(uint64_t ConflictsBeforeRestart, bool &DoneOut) {
       abandonReplay();
 
       if (Learnt.size() == 1) {
-        uncheckedEnqueue(Learnt[0], nullptr);
+        uncheckedEnqueue(Learnt[0], ClauseRefUndef);
       } else {
-        Clause *C = new Clause();
-        C->Lits = Learnt;
-        C->Learnt = true;
-        C->LBD = LBD;
+        ClauseRef C = Arena.alloc(Learnt.data(), Learnt.size(),
+                                  /*Learnt=*/true);
+        Arena.setLbd(C, LBD);
         Learnts.push_back(C);
         attachClause(C);
-        claBumpActivity(*C);
+        claBumpActivity(C);
         uncheckedEnqueue(Learnt[0], C);
       }
       Stats.LearntLiterals += Learnt.size();
@@ -930,7 +1019,7 @@ bool Solver::search(uint64_t ConflictsBeforeRestart, bool &DoneOut) {
       ++Stats.Decisions;
     }
     TrailLim.push_back(static_cast<int>(Trail.size()));
-    uncheckedEnqueue(Next, nullptr);
+    uncheckedEnqueue(Next, ClauseRefUndef);
   }
 }
 
@@ -944,7 +1033,7 @@ bool Solver::solve(const std::vector<Lit> &Assumptions) {
 
   if (!WarmStart) {
     cancelUntil(0);
-    if (propagate() != nullptr) {
+    if (propagate() != ClauseRefUndef) {
       Ok = false;
       return false;
     }
@@ -959,7 +1048,7 @@ bool Solver::solve(const std::vector<Lit> &Assumptions) {
       cancelUntil(0);
     }
     if (decisionLevel() == 0) {
-      if (propagate() != nullptr) {
+      if (propagate() != ClauseRefUndef) {
         Ok = false;
         return false;
       }

@@ -9,7 +9,9 @@
 /// A conflict-driven clause-learning SAT solver in the MiniSat lineage:
 /// two-literal watches, first-UIP learning with clause minimization, EVSIDS
 /// branching with phase saving, Luby restarts, and LBD-based learnt-clause
-/// database reduction. The inductive synthesizer (Section 6 of the paper)
+/// database reduction. Clauses live inline in one word arena and binary
+/// clauses are answered from the watch list (docs/SOLVER.md, "Clause
+/// storage"). The inductive synthesizer (Section 6 of the paper)
 /// uses it incrementally: each counterexample trace contributes clauses, and
 /// the accumulated instance is re-solved to propose the next candidate.
 ///
@@ -18,10 +20,11 @@
 #ifndef PSKETCH_SAT_SOLVER_H
 #define PSKETCH_SAT_SOLVER_H
 
+#include "sat/ClauseArena.h"
 #include "sat/SatTypes.h"
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 namespace psketch {
@@ -35,6 +38,7 @@ struct SolverStats {
   uint64_t Restarts = 0;
   uint64_t LearntLiterals = 0;
   uint64_t DeletedClauses = 0;
+  uint64_t Compactions = 0; ///< clause-arena compactions (refs remapped)
 };
 
 /// Work done by the between-solve inprocessing passes (warm start only).
@@ -60,7 +64,6 @@ struct InprocessStats {
 class Solver {
 public:
   Solver();
-  ~Solver();
 
   Solver(const Solver &) = delete;
   Solver &operator=(const Solver &) = delete;
@@ -77,16 +80,25 @@ public:
   /// \returns the number of currently live learnt clauses.
   size_t numLearnts() const { return Learnts.size(); }
 
-  /// Adds a clause over existing variables. \returns false if the solver
-  /// is already in an unsatisfiable state (the clause may be dropped).
-  /// Duplicated literals are merged; tautologies are ignored.
-  bool addClause(std::vector<Lit> Lits);
+  /// Adds the clause of the \p Size literals at \p Lits, over existing
+  /// variables. \returns false if the solver is already in an
+  /// unsatisfiable state (the clause may be dropped). Duplicated literals
+  /// are merged; tautologies are ignored. Allocates nothing per clause
+  /// beyond its words in the arena.
+  bool addClause(const Lit *Lits, size_t Size);
 
-  /// Convenience overloads for short clauses.
-  bool addClause(Lit A) { return addClause(std::vector<Lit>{A}); }
-  bool addClause(Lit A, Lit B) { return addClause(std::vector<Lit>{A, B}); }
+  /// Convenience overloads.
+  bool addClause(const std::vector<Lit> &Lits) {
+    return addClause(Lits.data(), Lits.size());
+  }
+  bool addClause(Lit A) { return addClause(&A, 1); }
+  bool addClause(Lit A, Lit B) {
+    const Lit Lits[] = {A, B};
+    return addClause(Lits, 2);
+  }
   bool addClause(Lit A, Lit B, Lit C) {
-    return addClause(std::vector<Lit>{A, B, C});
+    const Lit Lits[] = {A, B, C};
+    return addClause(Lits, 3);
   }
 
   /// Solves the current instance. \returns true iff satisfiable.
@@ -154,11 +166,16 @@ public:
   void exportClauses(std::vector<std::vector<Lit>> &Out) const;
 
 private:
-  // Watcher: clause plus a cached "blocker" literal that often avoids
-  // touching the clause at all.
+  // Watcher: 8 bytes, the clause ref with a binary bit plus a cached
+  // "blocker" literal that often avoids touching the clause at all. For
+  // a binary clause the blocker is the other literal, so propagation never
+  // reads the clause.
   struct Watcher {
-    Clause *C;
+    uint32_t Tag; // ClauseRef << 1 | binary
     Lit Blocker;
+
+    ClauseRef ref() const { return Tag >> 1; }
+    bool binary() const { return (Tag & 1) != 0; }
   };
 
   // Assignment trail and per-variable metadata.
@@ -166,14 +183,15 @@ private:
   std::vector<char> Polarity;       // saved phase; 1 = last assigned false
   std::vector<double> Activity;     // EVSIDS activity
   std::vector<int> Level;           // decision level of assignment
-  std::vector<Clause *> Reason;     // implying clause (nullptr = decision)
+  std::vector<ClauseRef> Reason;    // implying clause (Undef = decision)
   std::vector<Lit> Trail;
   std::vector<int> TrailLim;        // trail index per decision level
   size_t PropagateHead = 0;
 
-  // Clause database.
-  std::vector<Clause *> Problem;
-  std::vector<Clause *> Learnts;
+  // Clause database: every clause lives in Arena, named by its ref.
+  ClauseArena Arena;
+  std::vector<ClauseRef> Problem;
+  std::vector<ClauseRef> Learnts;
   size_t NumProblemClauses = 0;
   std::vector<std::vector<Watcher>> Watches; // indexed by Lit::index()
 
@@ -187,6 +205,11 @@ private:
   std::vector<char> Seen;
   std::vector<Lit> AnalyzeStack;
   std::vector<Lit> AnalyzeToClear;
+  std::vector<uint64_t> LevelStamp; // LBD: last analysis that saw a level
+  uint64_t LbdStamp = 0;
+
+  // addClause scratch: the clause being normalized.
+  std::vector<Lit> AddScratch;
 
   // Per-solve state.
   std::vector<Lit> CurrentAssumptions;
@@ -223,16 +246,19 @@ private:
     return value(L);
   }
 
-  void attachClause(Clause *C);
-  void detachClause(Clause *C);
+  void attachClause(ClauseRef C);
+  void detachClause(ClauseRef C);
+  bool satisfied(ClauseRef C) const;
+  void collectGarbage();
   bool addUnitClause(Lit L);
-  bool attachWarm(std::vector<Lit> Kept);
+  bool attachWarm();
   void saveReplay();
   void abandonReplay() { ReplayHead = ReplayQueue.size(); }
-  void uncheckedEnqueue(Lit L, Clause *From);
-  Clause *propagate();
-  void analyze(Clause *Conflict, std::vector<Lit> &Learnt, int &BacktrackLevel,
-               uint32_t &LBD);
+  void uncheckedEnqueue(Lit L, ClauseRef From);
+  ClauseRef propagate();
+  void reasonFirst(ClauseRef C, Lit Implied);
+  void analyze(ClauseRef Conflict, std::vector<Lit> &Learnt,
+               int &BacktrackLevel, uint32_t &LBD);
   bool litRedundant(Lit L, uint32_t AbstractLevels);
   void cancelUntil(int TargetLevel);
   Lit pickBranchLit();
@@ -241,16 +267,16 @@ private:
   void removeSatisfiedLearnts();
 
   // Inprocessing helpers (all root-level).
-  bool reinstallRoot(Clause *C, bool IsProblem);
+  bool reinstallRoot(ClauseRef C, bool IsProblem);
   void sweepSatisfied();
   void strengthenSelfSubsume();
   void vivify();
-  bool vivifyOne(Clause *C);
+  bool vivifyOne(ClauseRef C);
 
   // Activity bookkeeping.
   void varBumpActivity(Var V);
   void varDecayActivity() { VarInc *= (1.0 / 0.95); }
-  void claBumpActivity(Clause &C);
+  void claBumpActivity(ClauseRef C);
   void claDecayActivity() { ClauseInc *= (1.0 / 0.999); }
 
   // Heap operations.

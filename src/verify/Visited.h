@@ -161,13 +161,15 @@ public:
     }
   }
 
-  /// Bytes this table owns right now: the slot array, the key-arena
-  /// chunks at their allocated (not just occupied) size, the mask array,
-  /// and the odd-key side map. O(1) — it is the Exact-mode component of
-  /// the in-RAM budget meter, consulted per insert.
+  /// Bytes this table owns right now: the slot array, the key bytes
+  /// written so far plus the chunk-pointer vector, the mask array, and
+  /// the odd-key side map. A chunk's unwritten tail is not counted:
+  /// chunks are not zero-filled, so it is not resident either. O(1) — it
+  /// is the Exact-mode component of the in-RAM budget meter, consulted
+  /// per insert.
   size_t ownedBytes() const {
-    return Slots.size() * sizeof(Slot) +
-           Arena.size() * std::max<size_t>(1, KeyLen << KeysPerChunkLog2) +
+    return Slots.size() * sizeof(Slot) + Count * KeyLen +
+           Arena.size() * sizeof(Arena[0]) +
            Masks.size() * sizeof(uint64_t) + OddBytes;
   }
 

@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace psketch;
 using namespace psketch::sat;
 
@@ -41,6 +43,17 @@ bool bruteSat(const Cnf &F) {
       return true;
   }
   return false;
+}
+
+/// \returns true when the last model of \p S satisfies every clause of
+/// \p Clauses.
+bool modelSatisfies(const Solver &S,
+                    const std::vector<std::vector<Lit>> &Clauses) {
+  return std::all_of(Clauses.begin(), Clauses.end(), [&](const auto &C) {
+    return std::any_of(C.begin(), C.end(), [&](Lit L) {
+      return S.modelValue(L) == LBool::True;
+    });
+  });
 }
 
 Cnf randomCnf(Rng &R, int MaxVars, int MaxClauses) {
@@ -316,4 +329,156 @@ TEST(Solver, AssumptionsDoNotPollute) {
   EXPECT_TRUE(S.solve());
   EXPECT_TRUE(S.solve({neg(A)}));
   EXPECT_EQ(S.modelValue(B), LBool::True);
+}
+
+// One seeded warm-start incremental sequence run until it turns UNSAT: a
+// 3-SAT base near the threshold with one binary in sixteen, three clauses
+// added before every solve, every third solve under four assumptions, and
+// an inprocessing pass every second solve. Its counters pin the whole
+// search: every decision, propagation, conflict, learnt clause, reduceDB
+// deletion and inprocessing rewrite. A change to how clauses are stored
+// must leave every one of them as it is. Every model must also satisfy
+// every clause added and its assumptions.
+TEST(Solver, PinnedSearchCounters) {
+  const int Vars = 250;
+  Rng R(7);
+  auto RandomLit = [&]() {
+    Var V = static_cast<Var>(R.below(Vars));
+    return Lit(V, R.below(2) != 0);
+  };
+  std::vector<std::vector<Lit>> Added;
+  auto AddRandomClause = [&](Solver &S, size_t Len) {
+    std::vector<Lit> Clause;
+    for (size_t I = 0; I < Len; ++I)
+      Clause.push_back(RandomLit());
+    S.addClause(Clause);
+    Added.push_back(Clause);
+  };
+  Solver S;
+  S.setWarmStart(true);
+  S.setInprocessCadence(2);
+  for (int V = 0; V < Vars; ++V)
+    S.newVar();
+  for (int C = 0; C < 960; ++C)
+    AddRandomClause(S, C % 16 == 15 ? 2 : 3);
+  unsigned Solves = 0, SatAnswers = 0;
+  while (S.okay() && Solves < 60) {
+    for (int C = 0; C < 3; ++C)
+      AddRandomClause(S, 3);
+    std::vector<Lit> Assumptions;
+    if (Solves % 3 == 2)
+      for (int A = 0; A < 4; ++A)
+        Assumptions.push_back(RandomLit());
+    bool Sat = S.solve(Assumptions);
+    ++Solves;
+    if (!Sat)
+      continue;
+    ++SatAnswers;
+    // reduceDB compacts the arena mid-search; the models must not notice.
+    std::vector<std::vector<Lit>> InForce = Added;
+    for (Lit L : Assumptions)
+      InForce.push_back({L});
+    EXPECT_TRUE(modelSatisfies(S, InForce)) << "solve " << Solves;
+  }
+  const SolverStats &St = S.stats();
+  const InprocessStats &In = S.inprocessStats();
+  EXPECT_EQ(Solves, 11u);
+  EXPECT_EQ(SatAnswers, 7u);
+  EXPECT_EQ(S.numLearnts(), 1884u);
+  EXPECT_EQ(St.Decisions, 12279u);
+  EXPECT_EQ(St.Propagations, 734990u);
+  EXPECT_EQ(St.Conflicts, 10051u);
+  EXPECT_EQ(St.Restarts, 38u);
+  EXPECT_EQ(St.LearntLiterals, 102641u);
+  EXPECT_EQ(St.DeletedClauses, 8156u);
+  EXPECT_EQ(St.Compactions, 6u); // five of them mid-search, from reduceDB
+  EXPECT_EQ(In.Passes, 3u);
+  EXPECT_EQ(In.RemovedSatisfied, 1093u);
+  EXPECT_EQ(In.StrengthenedLits, 600u);
+  EXPECT_EQ(In.SubsumedClauses, 183u);
+  EXPECT_EQ(In.VivifiedLits, 2697u);
+}
+
+// Randomized stress of clause-arena compaction against brute force on 12
+// problem variables. Each round opens a scope as synthesis does (a fresh
+// activation literal guarding a batch of random clauses, binaries
+// included), solves under it, and closes it with the unit ~act, which
+// turns the whole batch and every learnt clause over it into garbage.
+// Warm trials run an inprocessing pass (sweep, strengthen, vivify) before
+// every solve that starts from the root; cold trials drop satisfied
+// learnts before every solve.
+// Every verdict must match exhaustive enumeration and every model must
+// satisfy every clause in force, and the arena must have compacted (so
+// remapped every ref) several times.
+TEST(Solver, CompactionStressAgreesWithBruteForce) {
+  const int Vars = 12;
+  Rng R(20260);
+  auto RandomLit = [&]() {
+    Var V = static_cast<Var>(R.below(Vars));
+    return Lit(V, R.below(2) != 0);
+  };
+  auto RandomClause = [&](size_t Len) {
+    std::vector<Lit> Clause;
+    for (size_t I = 0; I < Len; ++I)
+      Clause.push_back(RandomLit());
+    return Clause;
+  };
+  uint64_t Compactions = 0, Solves = 0;
+  for (int Trial = 0; Trial < 6; ++Trial) {
+    Solver S;
+    S.setWarmStart(Trial % 2 == 0);
+    S.setInprocessCadence(1);
+    for (int V = 0; V < Vars; ++V)
+      S.newVar();
+    Cnf Permanent;
+    Permanent.NumVars = Vars;
+    for (int C = 0; C < 20; ++C) {
+      Permanent.Clauses.push_back(RandomClause(3));
+      S.addClause(Permanent.Clauses.back());
+    }
+    for (int Round = 0; Round < 150 && S.okay(); ++Round) {
+      if (R.chance(1, 20)) {
+        Permanent.Clauses.push_back(RandomClause(2 + R.below(2)));
+        S.addClause(Permanent.Clauses.back());
+      }
+      // A scope: (~act v C) for each clause C of the batch.
+      Var Act = S.newVar();
+      Cnf InForce = Permanent;
+      size_t Batch = 15 + R.below(20);
+      for (size_t K = 0; K < Batch; ++K) {
+        std::vector<Lit> Clause = RandomClause(1 + R.below(3));
+        InForce.Clauses.push_back(Clause);
+        Clause.push_back(Lit(Act, true));
+        S.addClause(Clause);
+      }
+      std::vector<Lit> Assumptions = {Lit(Act, false)};
+      if (R.chance(1, 3)) {
+        Assumptions.push_back(RandomLit());
+        InForce.Clauses.push_back({Assumptions.back()});
+      }
+
+      bool Got = S.solve(Assumptions);
+      ++Solves;
+      ASSERT_EQ(Got, bruteSat(InForce)) << "trial " << Trial << " round "
+                                        << Round;
+      if (Got) {
+        ASSERT_TRUE(modelSatisfies(S, InForce.Clauses))
+            << "trial " << Trial << " round " << Round;
+      }
+      S.addClause(Lit(Act, true)); // close the scope
+
+      if (R.chance(1, 4)) {
+        bool GotPlain = S.solve();
+        ++Solves;
+        ASSERT_EQ(GotPlain, bruteSat(Permanent)) << "trial " << Trial;
+        if (GotPlain) {
+          ASSERT_TRUE(modelSatisfies(S, Permanent.Clauses))
+              << "trial " << Trial;
+        }
+      }
+    }
+    Compactions += S.stats().Compactions;
+  }
+  EXPECT_GT(Solves, 600u);
+  EXPECT_GE(Compactions, 3u);
 }

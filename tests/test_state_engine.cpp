@@ -254,10 +254,9 @@ TEST(StateEngine, FingerprintShrinksVisitedBytes) {
   EXPECT_EQ(RE.StatesExplored, RF.StatesExplored);
   ASSERT_GT(RE.StatesExplored, 0u);
   // Fingerprints own exactly 8 bytes per resident state. Exact owns at
-  // least schedWords * 8 key bytes per state, plus the slot array and
-  // the arena-chunk slack the accounting now includes (it meters real
-  // ownership, not just occupied key bytes), which is bounded by a
-  // small constant factor.
+  // least schedWords * 8 key bytes per state, plus the slot array, the
+  // mask array and the arena's chunk pointers, which a small constant
+  // factor bounds. Unwritten chunk tails are not charged.
   EXPECT_EQ(RF.VisitedBytes, 8 * RF.StatesExplored);
   uint64_t ExactKeyBytes = uint64_t{ME.schedWords()} * 8 * RE.StatesExplored;
   EXPECT_GE(RE.VisitedBytes, ExactKeyBytes);
