@@ -105,11 +105,10 @@ BitVec psketch::circuit::bvNot([[maybe_unused]] Graph &G, const BitVec &A) {
 
 NodeRef psketch::circuit::bvEq(Graph &G, const BitVec &A, const BitVec &B) {
   assert(A.width() == B.width() && "width mismatch in eq");
-  std::vector<NodeRef> Terms;
-  Terms.reserve(A.width());
+  std::vector<NodeRef> &Terms = G.termBuffer();
   for (unsigned I = 0; I < A.width(); ++I)
     Terms.push_back(G.mkEq(A.bit(I), B.bit(I)));
-  return G.mkAndAll(Terms);
+  return G.andTerms();
 }
 
 NodeRef psketch::circuit::bvNe(Graph &G, const BitVec &A, const BitVec &B) {
@@ -151,13 +150,12 @@ NodeRef psketch::circuit::bvNonZero(Graph &G, const BitVec &A) {
 
 NodeRef psketch::circuit::bvEqConst(Graph &G, const BitVec &A,
                                     uint64_t Value) {
-  std::vector<NodeRef> Terms;
-  Terms.reserve(A.width());
+  std::vector<NodeRef> &Terms = G.termBuffer();
   for (unsigned I = 0; I < A.width(); ++I) {
     bool BitSet = ((Value >> I) & 1) != 0;
     Terms.push_back(BitSet ? A.bit(I) : ~A.bit(I));
   }
-  return G.mkAndAll(Terms);
+  return G.andTerms();
 }
 
 BitVec psketch::circuit::bvResize(Graph &G, const BitVec &A, unsigned Width) {

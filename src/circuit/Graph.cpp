@@ -11,7 +11,7 @@
 using namespace psketch;
 using namespace psketch::circuit;
 
-Graph::Graph() {
+Graph::Graph() : Table(64, 0) {
   // Node 0: the constant TRUE.
   Nodes.push_back(Node());
 }
@@ -52,24 +52,50 @@ NodeRef Graph::operandB(NodeRef R) const {
   return Nodes[R.node()].B;
 }
 
+size_t Graph::slotOf(NodeRef A, NodeRef B) const {
+  uint64_t Key = (static_cast<uint64_t>(static_cast<uint32_t>(A.code())) << 32) |
+                 static_cast<uint32_t>(B.code());
+  // Multiplicative mix; the high half is folded into the low bits the
+  // mask keeps, so both operand codes reach the slot index.
+  uint64_t Hash = Key * 0x9E3779B97F4A7C15ull;
+  return static_cast<size_t>(Hash ^ (Hash >> 32)) & (Table.size() - 1);
+}
+
+void Graph::growTable() {
+  Table.assign(Table.size() * 2, 0);
+  size_t Mask = Table.size() - 1;
+  for (uint32_t Index = 1; Index < Nodes.size(); ++Index) {
+    const Node &N = Nodes[Index];
+    if (N.InputOrdinal >= 0)
+      continue;
+    size_t Slot = slotOf(N.A, N.B);
+    while (Table[Slot] != 0)
+      Slot = (Slot + 1) & Mask;
+    Table[Slot] = Index;
+  }
+}
+
 NodeRef Graph::mkAndRaw(NodeRef A, NodeRef B) {
   // Canonical operand order for structural hashing.
   if (B < A)
     std::swap(A, B);
-  uint64_t Key = (static_cast<uint64_t>(static_cast<uint32_t>(A.code())) << 32) |
-                 static_cast<uint32_t>(B.code());
-  std::vector<uint32_t> &Bucket = StructuralHash[Key];
-  for (uint32_t Index : Bucket) {
-    const Node &N = Nodes[Index];
+  size_t Mask = Table.size() - 1;
+  size_t Slot = slotOf(A, B);
+  for (; Table[Slot] != 0; Slot = (Slot + 1) & Mask) {
+    const Node &N = Nodes[Table[Slot]];
     if (N.A == A && N.B == B)
-      return NodeRef::make(Index, false);
+      return NodeRef::make(Table[Slot], false);
   }
+  uint32_t Index = static_cast<uint32_t>(Nodes.size());
   Node N;
   N.A = A;
   N.B = B;
-  uint32_t Index = static_cast<uint32_t>(Nodes.size());
   Nodes.push_back(N);
-  Bucket.push_back(Index);
+  size_t NumAnds = Nodes.size() - 1 - InputNames.size();
+  if (2 * NumAnds > Table.size())
+    growTable(); // inserts the new node too
+  else
+    Table[Slot] = Index;
   return NodeRef::make(Index, false);
 }
 
@@ -124,27 +150,33 @@ NodeRef Graph::mkIte(NodeRef Cond, NodeRef Then, NodeRef Else) {
 }
 
 NodeRef Graph::mkAndAll(const std::vector<NodeRef> &Terms) {
-  if (Terms.empty())
-    return getTrue();
-  // Balanced reduction keeps evaluation stacks shallow.
-  std::vector<NodeRef> Layer = Terms;
-  while (Layer.size() > 1) {
-    std::vector<NodeRef> Next;
-    for (size_t I = 0; I + 1 < Layer.size(); I += 2)
-      Next.push_back(mkAnd(Layer[I], Layer[I + 1]));
-    if (Layer.size() % 2 == 1)
-      Next.push_back(Layer.back());
-    Layer = std::move(Next);
-  }
-  return Layer[0];
+  TermBuf.assign(Terms.begin(), Terms.end());
+  return andTerms();
 }
 
 NodeRef Graph::mkOrAll(const std::vector<NodeRef> &Terms) {
-  std::vector<NodeRef> Negated;
-  Negated.reserve(Terms.size());
+  TermBuf.clear();
   for (NodeRef T : Terms)
-    Negated.push_back(~T);
-  return ~mkAndAll(Negated);
+    TermBuf.push_back(~T);
+  return ~andTerms();
+}
+
+NodeRef Graph::andTerms() {
+  if (TermBuf.empty())
+    return getTrue();
+  // Balanced reduction keeps evaluation stacks shallow. Each layer pairs
+  // neighbours in order and stores pair K in slot K, which the layer has
+  // already read.
+  size_t Size = TermBuf.size();
+  while (Size > 1) {
+    size_t Next = 0;
+    for (size_t I = 0; I + 1 < Size; I += 2)
+      TermBuf[Next++] = mkAnd(TermBuf[I], TermBuf[I + 1]);
+    if (Size % 2 == 1)
+      TermBuf[Next++] = TermBuf[Size - 1];
+    Size = Next;
+  }
+  return TermBuf[0];
 }
 
 bool Graph::evaluate(NodeRef Root, const std::vector<bool> &InputValues) const {

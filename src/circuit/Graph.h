@@ -11,7 +11,9 @@
 /// the projected counterexample trace into this graph; the graph is then
 /// Tseitin-encoded into the CDCL solver. Negation is an edge attribute, so
 /// NOT costs nothing; AND is the only real gate, with OR/XOR/ITE built on
-/// top of it.
+/// top of it. The structural hash is one flat open-addressing table of
+/// 32-bit node indices, so an AND gate costs its 12-byte node plus two to
+/// four 4-byte table slots.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,7 +23,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace psketch {
@@ -67,7 +68,11 @@ private:
 ///
 /// Node 0 is the constant TRUE; inputs are free variables (the sketch's
 /// hole bits); every internal node is a two-input AND. All constructors
-/// fold constants and hash-cons structurally identical gates.
+/// fold constants and hash-cons structurally identical gates: an AND's
+/// operands are put in canonical order (lower code first) and looked up
+/// in a power-of-two table of node indices with linear probing, which
+/// doubles at load 1/2. Slot value 0 means empty; node 0 is the constant,
+/// never an AND. Node indices depend only on the order of the calls.
 class Graph {
 public:
   Graph();
@@ -94,9 +99,20 @@ public:
   NodeRef mkImplies(NodeRef A, NodeRef B) { return mkOr(~A, B); }
   NodeRef mkIte(NodeRef Cond, NodeRef Then, NodeRef Else);
 
-  /// N-ary helpers (balanced reduction keeps the DAG shallow).
+  /// N-ary helpers (balanced reduction keeps the DAG shallow). Both
+  /// reduce in place in one reused member buffer.
   NodeRef mkAndAll(const std::vector<NodeRef> &Terms);
   NodeRef mkOrAll(const std::vector<NodeRef> &Terms);
+
+  /// mkAndAll for a caller that produces its terms one at a time: clear
+  /// the buffer with termBuffer(), push the terms, then call andTerms().
+  /// The terms must not be built by calls that use the buffer themselves
+  /// (mkAndAll, mkOrAll, bvEq, ...).
+  std::vector<NodeRef> &termBuffer() {
+    TermBuf.clear();
+    return TermBuf;
+  }
+  NodeRef andTerms();
 
   /// \returns the number of nodes (including the constant node).
   size_t numNodes() const { return Nodes.size(); }
@@ -135,9 +151,15 @@ private:
 
   std::vector<Node> Nodes;
   std::vector<std::string> InputNames;
-  std::unordered_map<uint64_t, std::vector<uint32_t>> StructuralHash;
+  /// The structural hash: AND node indices, 0 for an empty slot. Its size
+  /// is a power of two, at least twice the number of AND nodes.
+  std::vector<uint32_t> Table;
+  /// The n-ary builders' reduction buffer.
+  std::vector<NodeRef> TermBuf;
 
   NodeRef mkAndRaw(NodeRef A, NodeRef B);
+  size_t slotOf(NodeRef A, NodeRef B) const;
+  void growTable();
 };
 
 } // namespace circuit

@@ -201,7 +201,7 @@ ExprRef Program::field(ExprRef Pointer, unsigned FieldId) {
 }
 
 ExprRef Program::holeValue(unsigned HoleId) {
-  assert(HoleId < HoleTable.size() && "bad hole id");
+  // An undefined hole is left to validateProgram, which reports it.
   Expr *E = newExpr(ExprKind::HoleRead);
   E->Id = HoleId;
   E->Ty = Type::Int;
@@ -226,9 +226,9 @@ ExprRef Program::choose(const std::string &Name,
 }
 
 ExprRef Program::choiceOf(unsigned HoleId, std::vector<ExprRef> Alternatives) {
-  assert(HoleId < HoleTable.size() && "bad hole id");
-  assert(Alternatives.size() == HoleTable[HoleId].NumChoices &&
-         "alternative count must match the shared hole");
+  // An undefined hole or a count that does not match the hole's choices
+  // is left to validateProgram, which reports it.
+  assert(!Alternatives.empty() && "empty generator");
   Type Ty = Alternatives[0]->Ty;
   for ([[maybe_unused]] ExprRef Alt : Alternatives)
     assert(Alt->Ty == Ty && "generator alternatives disagree on type");

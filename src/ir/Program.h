@@ -170,7 +170,8 @@ public:
   /// A generator bound to an existing selector hole. Used when one
   /// sketched method is instantiated at several call sites: every site
   /// rebuilds its alternatives over its own locals but shares the hole,
-  /// so the synthesizer resolves the method once.
+  /// so the synthesizer resolves the method once. analysis::validateProgram
+  /// reports an undefined hole or an alternative count that does not match.
   ExprRef choiceOf(unsigned HoleId, std::vector<ExprRef> Alternatives);
 
   ExprRef add(ExprRef A, ExprRef B);

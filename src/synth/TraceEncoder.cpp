@@ -75,8 +75,6 @@ TraceEncoder::SymState TraceEncoder::initialState(
         bvConst(G, widthOf(P.globals()[Id].Ty),
                 static_cast<uint64_t>(P.wrap(Value, P.globals()[Id].Ty)));
   }
-  unsigned FieldW = 0; // computed per field below
-  (void)FieldW;
   St.Heap.resize(static_cast<size_t>(P.poolSize()) * P.fields().size());
   for (unsigned N = 0; N < P.poolSize(); ++N)
     for (size_t F = 0; F < P.fields().size(); ++F)

@@ -347,28 +347,31 @@ TEST(Enumerate, StateBudgetCutoffClaimsNothing) {
 }
 
 // The exact CEGIS trajectory of four light Figure-9 rows under the shipped
-// defaults: iterations, total checker states, the resolved candidate and
-// the SAT search behind it (propagations, conflicts and decisions summed
-// over the candidate solves).
+// defaults: iterations, total checker states, the resolved candidate, the
+// encoding the synthesizer built (gate DAG nodes and SAT clauses) and the
+// SAT search behind it (propagations, conflicts and decisions summed over
+// the candidate solves).
 // Changes below the search (Machine construction, footprint queries,
-// visited keys, SAT clause storage) must leave every search decision, and
-// so these, as they are.
+// visited keys, gate hashing, SAT clause storage) must leave every search
+// decision, and so these, as they are.
 TEST(Cegis, PinnedTrajectories) {
   struct Pin {
     const char *Family, *Test;
     unsigned Iterations;
     uint64_t States;
     HoleAssignment Candidate;
+    size_t Gates, Clauses;
     uint64_t Propagations, Conflicts, Decisions; ///< summed over SolveLog
   };
   const Pin Pins[] = {
       {"barrier1", "N=3,B=2", 11, 420, {4, 1, 6, 1, 1, 2, 3, 0, 0, 1},
-       1274728, 231, 473},
+       43899, 119853, 1274728, 231, 473},
       {"fineset1", "ar(ar|ar)", 6, 369, {0, 1, 2, 3, 2, 2, 2, 0},
-       810461, 120, 366},
+       35646, 95403, 810461, 120, 366},
       {"queueE2", "ed(ed|ed)", 6, 645, {1, 2, 0, 2, 4, 0, 4, 1, 4, 0, 0},
-       1431064, 403, 2963},
-      {"dinphilo", "N=4,T=3", 2, 12144, {2, 2, 0, 1, 2, 6, 0, 0}, 278, 0, 24},
+       44790, 131996, 1431064, 403, 2963},
+      {"dinphilo", "N=4,T=3", 2, 12144, {2, 2, 0, 1, 2, 6, 0, 0},
+       333, 792, 278, 0, 24},
   };
   for (const Pin &Want : Pins) {
     bench::SuiteEntry E = suiteRow(Want.Family, Want.Test);
@@ -380,6 +383,8 @@ TEST(Cegis, PinnedTrajectories) {
     EXPECT_EQ(R.Stats.Iterations, Want.Iterations) << Row;
     EXPECT_EQ(R.Stats.StatesExplored, Want.States) << Row;
     EXPECT_EQ(R.Candidate, Want.Candidate) << Row;
+    EXPECT_EQ(R.Stats.GateCount, Want.Gates) << Row;
+    EXPECT_EQ(R.Stats.ClauseCount, Want.Clauses) << Row;
     uint64_t Props = 0, Conflicts = 0, Decisions = 0;
     for (const synth::SolveRecord &S : R.Stats.SolveLog) {
       Props += S.Propagations;

@@ -12,6 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+
 using namespace psketch;
 using namespace psketch::circuit;
 
@@ -72,6 +75,229 @@ TEST(Graph, AndAllOrAll) {
   EXPECT_FALSE(G.evaluate(Any, AllFalse));
   EXPECT_EQ(G.mkAndAll({}), G.getTrue());
   EXPECT_EQ(G.mkOrAll({}), G.getFalse());
+}
+
+namespace {
+
+/// A reference for Graph's hash-consing: the same folding rules and
+/// decompositions, with the structural hash kept in a std::map keyed by
+/// the canonical (A, B) operand codes and the n-ary builders reducing
+/// through fresh per-layer vectors.
+struct RefGraph {
+  std::map<std::pair<int32_t, int32_t>, uint32_t> Ands;
+  /// Per node: its operands (an AND) or its input ordinal (an input).
+  std::vector<std::pair<NodeRef, NodeRef>> Operands = {{}};
+  std::vector<int> InputOrdinal = {-1};
+  unsigned NumInputs = 0;
+
+  NodeRef getTrue() const { return NodeRef::make(0, false); }
+  NodeRef getFalse() const { return NodeRef::make(0, true); }
+
+  NodeRef mkInput() {
+    Operands.push_back({});
+    InputOrdinal.push_back(static_cast<int>(NumInputs++));
+    return NodeRef::make(static_cast<uint32_t>(Operands.size() - 1), false);
+  }
+
+  NodeRef mkAnd(NodeRef A, NodeRef B) {
+    if (A == getFalse() || B == getFalse())
+      return getFalse();
+    if (A == getTrue())
+      return B;
+    if (B == getTrue())
+      return A;
+    if (A == B)
+      return A;
+    if (A == ~B)
+      return getFalse();
+    if (B < A)
+      std::swap(A, B);
+    auto [It, Fresh] = Ands.try_emplace({A.code(), B.code()},
+                                        static_cast<uint32_t>(Operands.size()));
+    if (Fresh) {
+      Operands.push_back({A, B});
+      InputOrdinal.push_back(-1);
+    }
+    return NodeRef::make(It->second, false);
+  }
+
+  NodeRef mkXor(NodeRef A, NodeRef B) {
+    if (A == getFalse())
+      return B;
+    if (B == getFalse())
+      return A;
+    if (A == getTrue())
+      return ~B;
+    if (B == getTrue())
+      return ~A;
+    if (A == B)
+      return getFalse();
+    if (A == ~B)
+      return getTrue();
+    return ~mkAnd(~mkAnd(A, ~B), ~mkAnd(~A, B));
+  }
+
+  NodeRef mkOr(NodeRef A, NodeRef B) { return ~mkAnd(~A, ~B); }
+
+  NodeRef mkIte(NodeRef C, NodeRef T, NodeRef E) {
+    if (C == getTrue())
+      return T;
+    if (C == getFalse())
+      return E;
+    if (T == E)
+      return T;
+    if (T == getTrue())
+      return mkOr(C, E);
+    if (T == getFalse())
+      return mkAnd(~C, E);
+    if (E == getTrue())
+      return mkOr(~C, T);
+    if (E == getFalse())
+      return mkAnd(C, T);
+    return mkOr(mkAnd(C, T), mkAnd(~C, E));
+  }
+
+  NodeRef mkAndAll(std::vector<NodeRef> Layer) {
+    if (Layer.empty())
+      return getTrue();
+    while (Layer.size() > 1) {
+      std::vector<NodeRef> Next;
+      for (size_t I = 0; I + 1 < Layer.size(); I += 2)
+        Next.push_back(mkAnd(Layer[I], Layer[I + 1]));
+      if (Layer.size() % 2 == 1)
+        Next.push_back(Layer.back());
+      Layer = std::move(Next);
+    }
+    return Layer[0];
+  }
+
+  NodeRef mkOrAll(std::vector<NodeRef> Terms) {
+    for (NodeRef &T : Terms)
+      T = ~T;
+    return ~mkAndAll(std::move(Terms));
+  }
+
+  bool evaluate(NodeRef R, const std::vector<bool> &In,
+                std::vector<signed char> &Memo) const {
+    uint32_t N = R.node();
+    if (Memo[N] < 0) {
+      if (N == 0)
+        Memo[N] = 1;
+      else if (InputOrdinal[N] >= 0)
+        Memo[N] = In[static_cast<size_t>(InputOrdinal[N])];
+      else
+        Memo[N] = evaluate(Operands[N].first, In, Memo) &&
+                  evaluate(Operands[N].second, In, Memo);
+    }
+    return (Memo[N] == 1) != R.negated();
+  }
+};
+
+} // namespace
+
+TEST(Graph, HashConsingMatchesMapReference) {
+  // Random builder calls over inputs, constants and earlier results, with
+  // random negation and replayed AND pairs in swapped order. Every edge
+  // must match a std::map-keyed reference, through many doublings of the
+  // flat table (it starts at 64 slots and doubles at load 1/2).
+  Rng R(20260515);
+  Graph G;
+  RefGraph Ref;
+  std::vector<NodeRef> Pool = {G.getTrue()};
+  std::vector<std::pair<NodeRef, NodeRef>> AndCalls;
+  auto Pick = [&]() {
+    NodeRef P = Pool[R.below(Pool.size())];
+    return R.chance(1, 2) ? ~P : P;
+  };
+  auto PickTerms = [&]() {
+    std::vector<NodeRef> Terms(R.below(9));
+    for (NodeRef &T : Terms)
+      T = Pick();
+    return Terms;
+  };
+  for (int Step = 0; Step < 6000; ++Step) {
+    NodeRef Got, Want;
+    switch (Step < 24 ? 0 : R.below(9)) {
+    case 0:
+      Got = G.mkInput("x");
+      Want = Ref.mkInput();
+      break;
+    case 1:
+    case 2: {
+      NodeRef A = Pick(), B = Pick();
+      AndCalls.push_back({A, B});
+      Got = G.mkAnd(A, B);
+      Want = Ref.mkAnd(A, B);
+      break;
+    }
+    case 3: {
+      auto [A, B] = AndCalls.empty() ? std::make_pair(Pick(), Pick())
+                                     : AndCalls[R.below(AndCalls.size())];
+      Got = G.mkAnd(B, A);
+      Want = Ref.mkAnd(B, A);
+      EXPECT_EQ(Got, G.mkAnd(A, B)) << "step " << Step;
+      break;
+    }
+    case 4: {
+      NodeRef A = Pick(), B = Pick();
+      Got = G.mkXor(A, B);
+      Want = Ref.mkXor(A, B);
+      break;
+    }
+    case 5: {
+      NodeRef C = Pick(), T = Pick(), E = Pick();
+      Got = G.mkIte(C, T, E);
+      Want = Ref.mkIte(C, T, E);
+      break;
+    }
+    case 6: {
+      std::vector<NodeRef> Terms = PickTerms();
+      Got = G.mkAndAll(Terms);
+      Want = Ref.mkAndAll(Terms);
+      break;
+    }
+    case 7: {
+      std::vector<NodeRef> Terms = PickTerms();
+      Got = G.mkOrAll(Terms);
+      Want = Ref.mkOrAll(Terms);
+      break;
+    }
+    default: {
+      std::vector<NodeRef> Terms = PickTerms();
+      G.termBuffer() = Terms;
+      Got = G.andTerms();
+      Want = Ref.mkAndAll(Terms);
+      break;
+    }
+    }
+    ASSERT_EQ(Got, Want) << "step " << Step;
+    ASSERT_EQ(G.numNodes(), Ref.Operands.size()) << "step " << Step;
+    Pool.push_back(Got);
+  }
+  // 4096 or more ANDs means at least six doublings.
+  EXPECT_GE(G.numNodes() - G.numInputs(), 4096u);
+  // Every AND node stays findable, whichever doubling it came before or
+  // after: asking again, operands swapped, returns it and adds nothing.
+  size_t Nodes = G.numNodes();
+  for (uint32_t Index = 1; Index < Nodes; ++Index) {
+    NodeRef N = NodeRef::make(Index, false);
+    if (G.isAnd(N)) {
+      ASSERT_EQ(G.mkAnd(G.operandB(N), G.operandA(N)), N) << "node " << Index;
+    }
+  }
+  EXPECT_EQ(G.numNodes(), Nodes);
+
+  for (int Trial = 0; Trial < 16; ++Trial) {
+    std::vector<bool> In(G.numInputs());
+    for (size_t I = 0; I < In.size(); ++I)
+      In[I] = R.chance(1, 2);
+    std::vector<signed char> Memo(Ref.Operands.size(), -1);
+    for (int Probe = 0; Probe < 64; ++Probe) {
+      NodeRef Root = Pool[R.below(Pool.size())];
+      EXPECT_EQ(G.evaluate(Root, In), Ref.evaluate(Root, In, Memo))
+          << "trial " << Trial;
+    }
+  }
 }
 
 namespace {
