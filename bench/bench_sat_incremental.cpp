@@ -34,11 +34,17 @@
 //    counterexample learning transfers better.)
 //
 //  * Speedup (hard gate in full mode only): per-iteration Ssolve —
-//    total candidate-solve seconds over the number of solves — must
+//    total candidate-solve seconds over the verifier calls — must
 //    improve by >= 1.3x on at least 2 of the 3 ROADMAP rows
 //    (queueDE2 ed(ed|ed), barrier2 N=2,B=3, fineset2 ar(arar|arar)).
 //    --smoke runs lighter rows and reports the ratio without enforcing
 //    it (CI boxes are too noisy for a timing gate).
+//
+//  * Solve count (reported per row as warm_solves; capped by
+//    scripts/check_bench_regression.py against max_warm_solves in
+//    bench/baselines/sat_incremental.json): every SAT solve beyond one per
+//    verifier call is a candidate excluded point-wise, so the count is a
+//    machine-independent measure of wasted search.
 //
 // Flags: --smoke, --jobs N, --json[=path].
 //
@@ -164,8 +170,7 @@ int main(int Argc, char **Argv) {
       ++Disagreements;
 
     double ColdS = solveSeconds(Cold), WarmS = solveSeconds(Warm);
-    size_t ColdN = Cold.Stats.SolveLog.size();
-    size_t WarmN = Warm.Stats.SolveLog.size();
+    unsigned ColdN = Cold.Stats.Iterations, WarmN = Warm.Stats.Iterations;
     double ColdPerIter = ColdN ? ColdS / ColdN : 0.0;
     double WarmPerIter = WarmN ? WarmS / WarmN : 0.0;
     double Speedup = WarmPerIter > 0.0 ? ColdPerIter / WarmPerIter : 1.0;
@@ -190,6 +195,8 @@ int main(int Argc, char **Argv) {
         .field("sketch", E.Sketch)
         .field("test", E.Test)
         .field("iterations", static_cast<uint64_t>(Warm.Stats.Iterations))
+        .field("warm_solves",
+               static_cast<uint64_t>(Warm.Stats.SolveLog.size()))
         .field("cold_ssolve_s", ColdS)
         .field("warm_ssolve_s", WarmS)
         .field("cold_ssolve_per_iter_s", ColdPerIter)

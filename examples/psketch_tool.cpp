@@ -8,8 +8,8 @@
 //                     [--visited-store memory|spill] [--spill-dir path]
 //                     [--spill-budget-mb N] [--por off|local|ample]
 //                     [--symmetry on|off] [--absint on|off]
-//                     [--shape on|off] [--warm-start on|off]
-//                     [--dump-cnf path] [--stats] [file.psk ...]
+//                     [--warm-start on|off] [--dump-cnf path] [--stats]
+//                     [file.psk ...]
 //
 // Default mode parses one mini-PSketch source file, runs concurrent CEGIS
 // (with the static pre-screen analyzer unless --no-prescreen), and prints
@@ -40,12 +40,7 @@
 // thread-modular abstract interpreter (on, the default, interval-refutes
 // candidates without verifier calls and tunes the Machine with proven
 // bounds and locksets — see docs/ANALYSIS.md; verdicts are identical
-// either way); --shape toggles the allocation-site points-to + shape
-// pass (on, the default, overridable via PSKETCH_SHAPE=off: lints heap
-// races/leaks/null derefs and splits the Machine's heap footprint into
-// per-(site, field) bits for site-aware POR — see docs/ANALYSIS.md
-// Pass 5; verdicts are identical either way); --warm-start toggles the
-// synthesizer's warm-started
+// either way); --warm-start toggles the synthesizer's warm-started
 // incremental SAT core (on, the default, continues one CDCL search
 // across CEGIS iterations — see docs/SOLVER.md; off reproduces the
 // from-scratch solver trajectory; the verdict is identical either way);
@@ -266,24 +261,6 @@ bool parseAbsInt(const char *Text, bool &Out) {
   return false;
 }
 
-/// Parses the --shape mode argument. \returns false after printing a
-/// typed diagnostic when the value is missing or not a known mode.
-bool parseShape(const char *Text, bool &Out) {
-  if (Text && std::strcmp(Text, "on") == 0) {
-    Out = true;
-    return true;
-  }
-  if (Text && std::strcmp(Text, "off") == 0) {
-    Out = false;
-    return true;
-  }
-  printDiag({analysis::Severity::Error, "cli",
-             std::string("--shape: bad value '") + (Text ? Text : "") +
-                 "' (expected 'on' or 'off')",
-             ""});
-  return false;
-}
-
 /// Parses the --warm-start mode argument. \returns false after printing
 /// a typed diagnostic when the value is missing or not a known mode.
 bool parseWarmStart(const char *Text, bool &Out) {
@@ -323,13 +300,6 @@ void printStats(const cegis::CegisStats &S) {
   std::printf("  %-20s %u\n", "TightenedBits", S.TightenedBits);
   std::printf("  %-20s %llu\n", "LockIndepPairs",
               static_cast<unsigned long long>(S.LockIndepPairs));
-  std::printf("  %-20s %u\n", "ShapeSites", S.ShapeSites);
-  std::printf("  %-20s %llu\n", "MustNotAliasPairs",
-              static_cast<unsigned long long>(S.MustNotAliasPairs));
-  std::printf("  %-20s %llu\n", "SiteIndepPairs",
-              static_cast<unsigned long long>(S.SiteIndepPairs));
-  std::printf("  %-20s %llu\n", "ShapeFalsePrunes",
-              static_cast<unsigned long long>(S.ShapeFalsePrunes));
   std::printf("  %-20s %u\n", "HeapRaceWarnings", S.HeapRaceWarnings);
   std::printf("  %-20s %llu\n", "SpilledStates",
               static_cast<unsigned long long>(S.SpilledStates));
@@ -407,7 +377,6 @@ bool parseVisitedStore(const char *Text, verify::VisitedStore &Out) {
 
 int main(int Argc, char **Argv) {
   bool Lint = false, Prescreen = true, Stats = false, AbsInt = true;
-  bool Shape = analysis::defaultShape();
   bool WarmStart = synth::defaultWarmStart();
   std::string DumpCnfPath;
   uint64_t Jobs = 1, Seed = 1, SpillBudgetMb = 0;
@@ -483,12 +452,6 @@ int main(int Argc, char **Argv) {
     } else if (std::strncmp(Argv[I], "--absint=", 9) == 0) {
       if (!parseAbsInt(Argv[I] + 9, AbsInt))
         return 1;
-    } else if (std::strcmp(Argv[I], "--shape") == 0) {
-      if (!parseShape(I + 1 < Argc ? Argv[++I] : nullptr, Shape))
-        return 1;
-    } else if (std::strncmp(Argv[I], "--shape=", 8) == 0) {
-      if (!parseShape(Argv[I] + 8, Shape))
-        return 1;
     } else if (std::strcmp(Argv[I], "--warm-start") == 0) {
       if (!parseWarmStart(I + 1 < Argc ? Argv[++I] : nullptr, WarmStart))
         return 1;
@@ -520,7 +483,6 @@ int main(int Argc, char **Argv) {
                    "[--spill-budget-mb N] "
                    "[--por off|local|ample] "
                    "[--symmetry on|off] [--absint on|off] "
-                   "[--shape on|off] "
                    "[--warm-start on|off] [--dump-cnf path] [--stats] "
                    "[file.psk ...]\n");
       return 1;
@@ -588,10 +550,6 @@ int main(int Argc, char **Argv) {
   Cfg.Analysis.AbsInt = AbsInt;
   if (!AbsInt)
     std::printf("cegis: abstract-interpretation screen off (default: on)\n");
-  Cfg.Shape = Shape;
-  Cfg.Analysis.Shape = Shape;
-  if (!Shape)
-    std::printf("cegis: points-to/shape pass off (default: on)\n");
   Cfg.SolverWarmStart = WarmStart;
   if (!WarmStart)
     std::printf("synth: warm-started solver off (default: on) — "

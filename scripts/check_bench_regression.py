@@ -20,8 +20,11 @@ escaping its throughput gate, byte ceiling or agreement check.
 Ceiling metrics go the other way: a baseline row carrying
 max_bytes_per_state caps the matching current row's bytes_per_state
 (visited-store memory footprint per state, RAM + spilled disk bytes;
-docs/SPILL.md). Byte accounting is machine-independent, so ceilings are
-enforced unconditionally — no provenance guard, no tolerance.
+docs/SPILL.md), and one carrying max_warm_solves caps the warm-started
+CEGIS run's SAT solve count (a solve beyond one per verifier call is a
+candidate excluded point-wise). Byte and solve counts are
+machine-independent, so ceilings are enforced unconditionally — no
+provenance guard, no tolerance.
 
 Stdlib only (json/sys); no third-party dependencies.
 """
@@ -51,6 +54,8 @@ IDENT = ("sketch", "test", "engine", "shape", "candidate", "workers", "por",
 CEILINGS = {
     "spill": (("sketch", "test", "engine"), "max_bytes_per_state",
               "bytes_per_state"),
+    "sat_incremental": (("sketch", "test"), "max_warm_solves",
+                        "warm_solves"),
 }
 
 
@@ -135,8 +140,8 @@ def main(argv):
             if row.get("kind", "").endswith("agreement") and row.get(flag) is False:
                 failures.append("disagreement row: %s" % json.dumps(row))
 
-    # Byte ceilings: machine-independent, enforced before (and regardless
-    # of) the provenance check.
+    # Byte and solve-count ceilings: machine-independent, enforced before
+    # (and regardless of) the provenance check.
     caps = index_field(baseline, "ceiling")
     measured = index_field(current, "measured")
     capped = 0
@@ -149,8 +154,8 @@ def main(argv):
         capped += 1
         if got > limit:
             failures.append(
-                "%s: %.1f bytes/state exceeds the %.1f ceiling"
-                % (ident, got, limit)
+                "%s: %s %.1f exceeds the %.1f ceiling"
+                % (ident, CEILINGS[ident[0]][2], got, limit)
             )
     if caps:
         print("check_bench_regression: %d ceiling rows checked" % capped)

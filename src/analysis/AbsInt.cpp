@@ -10,12 +10,10 @@
 #include "analysis/Analyzer.h"
 #include "analysis/Lockset.h"
 #include "analysis/Util.h"
-#include "ir/StaticEval.h"
 #include "support/StrUtil.h"
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 
 using namespace psketch;
 using namespace psketch::analysis;
@@ -64,10 +62,9 @@ bool readsState(ExprRef E) {
 class AbsEval {
 public:
   AbsEval(const Program &P, const FlatProgram &FP, const HoleAssignment *Holes,
-          const AbsIntConfig &Cfg, int PinHole, uint64_t PinValue,
-          const PointsToResult *Pts)
+          const AbsIntConfig &Cfg, int PinHole, uint64_t PinValue)
       : P(P), FP(FP), Holes(Holes), Cfg(Cfg), PinHole(PinHole),
-        PinValue(PinValue), Pts(Pts) {
+        PinValue(PinValue) {
     for (const Global &G : P.globals()) {
       Offsets.push_back(static_cast<unsigned>(SlotTy.size()));
       unsigned Extent = G.ArraySize == 0 ? 1 : G.ArraySize;
@@ -77,13 +74,6 @@ public:
       }
     }
     Heap.assign(P.fields().size(), Interval::point(0));
-    // Per-(site, field) cells beside the class rows: a fresh node's
-    // fields are all 0, and each site allocates at most one node per run
-    // (loop-free bodies), so point(0) is the exact start.
-    if (Pts && Pts->Ran && !Pts->Sites.empty())
-      HeapCells.assign(Pts->Sites.size(),
-                       std::vector<Interval>(P.fields().size(),
-                                             Interval::point(0)));
     Alloc = Interval::point(0);
   }
 
@@ -97,21 +87,11 @@ private:
   int PinHole;
   uint64_t PinValue;
 
-  const PointsToResult *Pts; ///< optional heap refinement (may be null)
-
   std::vector<unsigned> Offsets; ///< global id -> first slot
   std::vector<Type> SlotTy;      ///< per flattened slot
   std::vector<Interval> Globals; ///< the working shared state / INV
-  std::vector<Interval> Heap;    ///< per field class (sound fallback)
-  /// Per-(site, field) refinement of Heap; empty when no points-to
-  /// solution was supplied. Invariant: every write keeps the class row
-  /// joined too, so Heap[F] always covers HeapCells[*][F].
-  std::vector<std::vector<Interval>> HeapCells;
+  std::vector<Interval> Heap;    ///< per field class (all pool cells)
   Interval Alloc;
-
-  /// The context scanBody is currently interpreting — keys the deref
-  /// lookups into the points-to solution.
-  unsigned CurCtx = 0;
 
   /// Par mode: shared writes always join (interference accumulation) and
   /// set Changed. Seq mode (prologue/epilogue): certain writes to a
@@ -210,7 +190,7 @@ private:
     case ExprKind::LocalRead:
       return E->Id < Locals.size() ? Locals[E->Id] : typeTop(E->Ty);
     case ExprKind::FieldRead:
-      return fieldValue(E);
+      return Heap[E->Id];
     case ExprKind::HoleRead:
       return holeValue(E->Id);
     case ExprKind::Choice: {
@@ -310,27 +290,6 @@ private:
     return typeTop(E->Ty);
   }
 
-  /// A FieldRead through a resolved base sees only its sites' cells —
-  /// exact by the site-partition argument (PointsTo.h). Unresolved bases
-  /// (and runs without a points-to solution) read the class row.
-  Interval fieldValue(ExprRef E) const {
-    if (!HeapCells.empty()) {
-      PtSet S = Pts->derefSet(CurCtx, E->Ops[0]);
-      if (S.resolved()) {
-        if (S.Sites == 0)
-          // Provably null base: the access faults before producing a
-          // value, so no continuation constrains the result.
-          return typeTop(E->Ty);
-        Interval V = Interval::bottom();
-        for (unsigned I = 0; I < HeapCells.size(); ++I)
-          if (S.Sites & (1ull << I))
-            V = V.join(HeapCells[I][E->Id]);
-        return V;
-      }
-    }
-    return Heap[E->Id];
-  }
-
   //===--------------------------------------------------------------------===//
   // State updates.
   //===--------------------------------------------------------------------===//
@@ -387,38 +346,11 @@ private:
     }
     case Loc::Kind::Field: {
       Interval V = wrapTo(Raw, P.fields()[L.Id].Ty);
-      // Class row first: always weak (one class, many nodes), and kept
-      // joined even when the site cells refine it, so it stays a sound
-      // fallback for unresolved reads.
+      // Always weak: one class row covers many nodes.
       Interval N = Heap[L.Id].join(V);
       if (N != Heap[L.Id]) {
         Heap[L.Id] = N;
         Changed = true;
-      }
-      if (HeapCells.empty())
-        return;
-      PtSet S = Pts->derefSet(Ctx, L.Index);
-      uint64_t Mask = S.resolved()
-                          ? S.Sites
-                          : ~0ull >> (64 - HeapCells.size());
-      // A single-phase flow-sensitive scan (prologue/epilogue) writing
-      // through a certain, singleton, non-null base hits exactly one
-      // node: update its cell strongly.
-      bool Strong = !ParMode && Certain && S.resolved() && !S.Null &&
-                    Mask != 0 && (Mask & (Mask - 1)) == 0;
-      for (unsigned I = 0; I < HeapCells.size(); ++I) {
-        if (!(Mask & (1ull << I)))
-          continue;
-        Interval &C = HeapCells[I][L.Id];
-        if (Strong) {
-          C = V;
-        } else {
-          Interval NC = C.join(V);
-          if (NC != C) {
-            C = NC;
-            Changed = true;
-          }
-        }
       }
       return;
     }
@@ -438,7 +370,6 @@ private:
   }
 
   void scanBody(unsigned Ctx) {
-    CurCtx = Ctx;
     const ir::Body &IrB = irBody(Ctx);
     const FlatBody &B = bodyOf(FP, Ctx);
     std::vector<Interval> Locals;
@@ -508,28 +439,6 @@ private:
       }
     }
   }
-
-  /// True when every allocation site is an unconditional prologue Alloc
-  /// (live guard that folds to true, no dynamic guard, no predicate) —
-  /// the condition under which site index == pool index on every run.
-  bool prologueOwnsPool() const {
-    static const HoleAssignment Empty;
-    const HoleAssignment &H = Holes ? *Holes : Empty;
-    unsigned Pro = static_cast<unsigned>(FP.Threads.size());
-    for (const AllocSite &Site : Pts->Sites) {
-      if (Site.Ctx != Pro || Site.Pc >= FP.Prologue.Steps.size())
-        return false;
-      const Step &S = FP.Prologue.Steps[Site.Pc];
-      if (S.DynGuard || S.Ops[Site.OpIndex].Pred)
-        return false;
-      if (S.StaticGuard) {
-        std::optional<int64_t> V = tryEvalStatic(P, S.StaticGuard, H);
-        if (!V || *V == 0)
-          return false;
-      }
-    }
-    return true;
-  }
 };
 
 AbsIntResult AbsEval::run() {
@@ -554,7 +463,6 @@ AbsIntResult AbsEval::run() {
   for (unsigned Round = 1; Round <= Cfg.MaxClosureRounds; ++Round) {
     Changed = false;
     std::vector<Interval> PrevG = Globals, PrevH = Heap;
-    std::vector<std::vector<Interval>> PrevHC = HeapCells;
     Interval PrevA = Alloc;
     for (unsigned Ctx = 0; Ctx < NumThreads; ++Ctx)
       scanBody(Ctx);
@@ -570,11 +478,6 @@ AbsIntResult AbsEval::run() {
       for (size_t F = 0; F < Heap.size(); ++F)
         if (LastRound || Heap[F] != PrevH[F])
           Heap[F] = Heap[F].join(typeTop(P.fields()[F].Ty));
-      for (size_t S = 0; S < HeapCells.size(); ++S)
-        for (size_t F = 0; F < HeapCells[S].size(); ++F)
-          if (LastRound || HeapCells[S][F] != PrevHC[S][F])
-            HeapCells[S][F] =
-                HeapCells[S][F].join(typeTop(P.fields()[F].Ty));
       if (LastRound || Alloc != PrevA)
         Alloc = Alloc.join(
             Interval::of(0, static_cast<int64_t>(P.poolSize())));
@@ -590,13 +493,11 @@ AbsIntResult AbsEval::run() {
   // Epilogue: runs alone after every thread completes, on a scratch copy
   // so its writes stay out of the parallel-phase bounds.
   std::vector<Interval> SavedG = Globals, SavedH = Heap;
-  std::vector<std::vector<Interval>> SavedHC = HeapCells;
   Interval SavedA = Alloc;
   ParMode = false;
   scanBody(NumThreads + 1);
   Globals = std::move(SavedG);
   Heap = std::move(SavedH);
-  HeapCells = std::move(SavedHC);
   Alloc = SavedA;
   Report = nullptr;
 
@@ -608,19 +509,6 @@ AbsIntResult AbsEval::run() {
     B.GlobalSlots.push_back({I.Lo, I.Hi});
   for (const Interval &I : Heap)
     B.HeapFields.push_back({I.Lo, I.Hi});
-  if (!HeapCells.empty() && prologueOwnsPool()) {
-    // Sole-allocator prologue with unconditional Allocs: the n-th
-    // prologue site produces node id n+1 (pool index n) on EVERY run,
-    // so the site cells are per-pool-node intervals; the unallocated
-    // tail keeps its zero init.
-    unsigned NF = static_cast<unsigned>(P.fields().size());
-    B.HeapSlots.assign(static_cast<size_t>(P.poolSize()) * NF, {0, 0});
-    for (unsigned Node = 0;
-         Node < P.poolSize() && Node < HeapCells.size(); ++Node)
-      for (unsigned F = 0; F < NF; ++F)
-        B.HeapSlots[static_cast<size_t>(Node) * NF + F] = {
-            HeapCells[Node][F].Lo, HeapCells[Node][F].Hi};
-  }
   B.Locals.resize(NumThreads);
   for (unsigned Ctx = 0; Ctx < NumThreads; ++Ctx) {
     const ir::Body &IrB = irBody(Ctx);
@@ -638,23 +526,16 @@ AbsIntResult AbsEval::run() {
 AbsIntResult analysis::runAbsInt(const Program &P, const FlatProgram &FP,
                                  const HoleAssignment *Holes,
                                  const AbsIntConfig &Cfg, int PinHole,
-                                 uint64_t PinValue,
-                                 const PointsToResult *Pts) {
-  return AbsEval(P, FP, Holes, Cfg, PinHole, PinValue, Pts).run();
+                                 uint64_t PinValue) {
+  return AbsEval(P, FP, Holes, Cfg, PinHole, PinValue).run();
 }
 
 CandidateFacts analysis::analyzeCandidate(const Program &P,
                                           const FlatProgram &FP,
                                           const HoleAssignment &Holes,
-                                          const AbsIntConfig &Cfg,
-                                          bool WithHeap) {
+                                          const AbsIntConfig &Cfg, bool) {
   CandidateFacts Facts;
-  if (WithHeap) {
-    Facts.Pts = runPointsTo(FP, &Holes);
-    Facts.Heap = toHeapPartition(Facts.Pts);
-  }
-  AbsIntResult R = runAbsInt(P, FP, &Holes, Cfg, -1, 0,
-                             Facts.Pts.Ran ? &Facts.Pts : nullptr);
+  AbsIntResult R = runAbsInt(P, FP, &Holes, Cfg);
   Facts.Refuted = R.Refuted;
   Facts.RefutedWhere = R.RefutedWhere;
   Facts.RefutedWhy = R.RefutedWhy;

@@ -43,7 +43,6 @@
 #ifndef PSKETCH_ANALYSIS_ABSINT_H
 #define PSKETCH_ANALYSIS_ABSINT_H
 
-#include "analysis/PointsTo.h"
 #include "desugar/Flat.h"
 #include "exec/Tuning.h"
 #include "ir/HoleAssignment.h"
@@ -127,44 +126,32 @@ struct AbsIntResult {
 /// Runs the abstract interpreter. \p Holes selects candidate mode
 /// (non-null) or whole-space mode (null). \p PinHole/\p PinValue, used
 /// with null \p Holes, pin one hole to one value while the rest stay
-/// top — the unit-ban probe. A non-null \p Pts (a points-to solution for
-/// the SAME mode) refines the heap abstraction from one interval per
-/// field class to one per (allocation site, field): resolved field reads
-/// see only their sites' cells, thread-private prologue state updates
-/// strongly, and — when the prologue is the sole allocator — the result
-/// carries per-pool-node ValueBounds::HeapSlots.
+/// top — the unit-ban probe.
 AbsIntResult runAbsInt(const ir::Program &P, const flat::FlatProgram &FP,
                        const ir::HoleAssignment *Holes,
                        const AbsIntConfig &Cfg = AbsIntConfig(),
-                       int PinHole = -1, uint64_t PinValue = 0,
-                       const PointsToResult *Pts = nullptr);
+                       int PinHole = -1, uint64_t PinValue = 0);
 
 /// The per-candidate bundle CEGIS feeds the verifier layer: interval
 /// refutation plus the Machine tunings (value bounds from the abstract
-/// interpreter, lock annotations from analysis/Lockset.h, and — when the
-/// shape pass is on — the allocation-site heap partition from
-/// analysis/PointsTo.h).
+/// interpreter, lock annotations from analysis/Lockset.h).
 struct CandidateFacts {
   bool Refuted = false;
   std::string RefutedWhere;
   std::string RefutedWhy;
   exec::ValueBounds Bounds;
   exec::LockAnnotations Locks;
-  /// Candidate-mode points-to solution (Ran == false when \p WithHeap
-  /// was off or the analysis refused).
-  PointsToResult Pts;
-  /// The Machine-facing footprint refinement derived from Pts.
+  /// Kept only so verdictbench/ compiles; always empty.
   exec::HeapPartition Heap;
 };
 
-/// \p WithHeap gates the points-to layer (CegisConfig::Shape): off, the
-/// bundle degrades to the PR-6 behavior — class-granular heap bounds, no
-/// partition.
+/// The trailing bool is kept only so verdictbench/ compiles; it is
+/// ignored.
 CandidateFacts analyzeCandidate(const ir::Program &P,
                                 const flat::FlatProgram &FP,
                                 const ir::HoleAssignment &Holes,
                                 const AbsIntConfig &Cfg = AbsIntConfig(),
-                                bool WithHeap = true);
+                                bool = false);
 
 } // namespace analysis
 } // namespace psketch

@@ -49,9 +49,6 @@
 namespace psketch {
 namespace analysis {
 
-/// The PSKETCH_SHAPE environment default (defined in Shape.cpp).
-bool defaultShape();
-
 /// Knobs for the analyzer. The enumeration caps bound the work each pass
 /// may spend per guard / hole / reorder block; exceeding a cap silently
 /// skips the (optional) finding, never affecting soundness.
@@ -60,7 +57,7 @@ struct AnalysisConfig {
   bool Prescreen = true; ///< run the lockset + wait-graph pre-screen
   bool Lint = true;      ///< run the sketch lint pass
   bool AbsInt = true;    ///< run the interval + lockset screen (AbsInt.h)
-  bool Shape = defaultShape(); ///< run the points-to + shape lint (Shape.h)
+  bool Shape = true;     ///< run the points-to + shape lint (Shape.h)
   uint64_t MaxGuardEnum = 4096;       ///< assignments per static guard
   unsigned MaxHoleChoices = 64;       ///< equivalence scan per-hole cap
   uint64_t MaxReorderEnum = 4096;     ///< assignments per reorder block
@@ -99,12 +96,9 @@ struct AnalysisResult {
   /// interpretation screen (subset of Diags, counted for --stats).
   unsigned RaceWarnings = 0;
 
-  /// Pass-5 shape counters (--stats): allocation sites tracked by the
-  /// whole-space points-to solution, proven must-not-alias deref pairs,
-  /// and heap-field race warnings (the latter a subset of Diags). All
-  /// zero when the pass is off or refused (site overflow).
-  unsigned ShapeSites = 0;
-  uint64_t MustNotAliasPairs = 0;
+  /// Heap-field race warnings from the shape lint (subset of Diags,
+  /// counted for --stats); zero when the pass is off or refused (site
+  /// overflow).
   unsigned HeapRaceWarnings = 0;
 
   bool hasErrors() const {
@@ -149,8 +143,7 @@ void runAbsIntScreen(ir::Program &P, const flat::FlatProgram &FP,
                      const AnalysisConfig &Cfg, DiagnosticSink &Sink,
                      AnalysisResult &Out);
 /// The allocation-site points-to + shape lint screen (Shape.h):
-/// definite-null derefs, leaked sites, and heap-field races, plus the
-/// ShapeSites / MustNotAliasPairs counters.
+/// definite-null derefs, leaked sites, and heap-field races.
 void runShapeScreen(ir::Program &P, const flat::FlatProgram &FP,
                     const AnalysisConfig &Cfg, DiagnosticSink &Sink,
                     AnalysisResult &Out);

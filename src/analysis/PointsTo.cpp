@@ -362,43 +362,11 @@ private:
 
 } // namespace
 
-uint64_t PointsToResult::mustNotAliasPairs() const {
-  std::vector<const PtSet *> Entries;
-  for (const auto &Map : Derefs)
-    for (const auto &KV : Map)
-      Entries.push_back(&KV.second);
-  uint64_t Pairs = 0;
-  for (size_t I = 0; I < Entries.size(); ++I)
-    for (size_t J = I + 1; J < Entries.size(); ++J)
-      if (Entries[I]->disjointSites(*Entries[J]) &&
-          (Entries[I]->Sites | Entries[J]->Sites) != 0)
-        ++Pairs;
-  return Pairs;
-}
-
 PointsToResult psketch::analysis::runPointsTo(const flat::FlatProgram &FP,
                                               const HoleAssignment *Holes) {
   static const HoleAssignment Empty;
   Solver S(FP, Holes ? *Holes : Empty);
   return S.run();
-}
-
-exec::HeapPartition
-psketch::analysis::toHeapPartition(const PointsToResult &R) {
-  exec::HeapPartition H;
-  if (!R.Ran || R.Sites.empty() ||
-      R.Sites.size() > exec::HeapPartition::MaxSites)
-    return H;
-  H.NumSites = static_cast<unsigned>(R.Sites.size());
-  H.Resolved.resize(R.numCtx());
-  for (unsigned Ctx = 0; Ctx < R.numCtx() && Ctx < R.Derefs.size(); ++Ctx)
-    for (const auto &KV : R.Derefs[Ctx])
-      if (KV.second.resolved())
-        // A resolved base touches only its sites' cells (a null value
-        // faults before reaching the heap), so the site mask alone is
-        // the footprint.
-        H.Resolved[Ctx][KV.first] = KV.second.Sites;
-  return H;
 }
 
 namespace {

@@ -22,16 +22,15 @@
 ///
 /// Together: accesses whose points-to sets resolve to disjoint site sets
 /// touch disjoint concrete heap cells in every run. That is the
-/// must-not-alias fact the footprint refinement (exec::HeapPartition),
-/// the per-(site,field) abstract heap (analysis/AbsInt.cpp), the
-/// symmetry heap-discipline check (analysis/SymmetryInfer.cpp), and the
-/// shape lint (analysis/Shape.h) all consume.
+/// must-not-alias fact the symmetry heap-discipline check
+/// (analysis/SymmetryInfer.cpp) and the shape lint (analysis/Shape.h)
+/// consume.
 ///
 /// The analysis runs in two modes, like the abstract interpreter:
 /// *candidate* mode (a HoleAssignment resolves every Choice to its
-/// selected alternative — the facts feed the Machine tuning for that
-/// candidate) and *whole-space* mode (Choice joins all alternatives —
-/// the facts hold for every candidate and feed lint/symmetry).
+/// selected alternative — the symmetry check of that candidate) and
+/// *whole-space* mode (Choice joins all alternatives — the facts hold
+/// for every candidate and feed the lint).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,7 +38,6 @@
 #define PSKETCH_ANALYSIS_POINTSTO_H
 
 #include "desugar/Flat.h"
-#include "exec/Tuning.h"
 #include "ir/HoleAssignment.h"
 
 #include <cstdint>
@@ -112,8 +110,7 @@ struct PointsToResult {
   std::vector<std::vector<PtSet>> Locals;
   /// Per-context deref resolution: the final points-to set of every
   /// pointer expression used as a FieldRead base or a Field-write
-  /// target. ExprRefs are arena-stable, so the exec::Machine can key its
-  /// footprint refinement on exactly these pointers.
+  /// target, keyed by the arena-stable ExprRef.
   std::vector<std::unordered_map<ir::ExprRef, PtSet>> Derefs;
 
   /// Sites reachable from some global (transitively through heap cells):
@@ -139,10 +136,6 @@ struct PointsToResult {
     return PtSet::top();
   }
 
-  /// Count of unordered deref-expression pairs with provably disjoint
-  /// site sets (the must-not-alias facts).
-  uint64_t mustNotAliasPairs() const;
-
   static constexpr unsigned MaxSites = 64;
 };
 
@@ -152,12 +145,6 @@ struct PointsToResult {
 /// candidate).
 PointsToResult runPointsTo(const flat::FlatProgram &FP,
                            const ir::HoleAssignment *Holes);
-
-/// Builds the Machine-facing footprint refinement from a candidate-mode
-/// solution: one Resolved entry per deref base with a Top-free set.
-/// Empty (NumSites == 0) when the analysis refused or saw no sites, which
-/// the Machine treats as "no partition".
-exec::HeapPartition toHeapPartition(const PointsToResult &R);
 
 /// True when thread contexts \p CtxA and \p CtxB own site lists that
 /// correspond index-for-index (equal pc and op index — forked copies of

@@ -13,8 +13,6 @@
 #include "ir/StaticEval.h"
 #include "support/StrUtil.h"
 
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <set>
 
@@ -156,14 +154,6 @@ const char *analysis::shapeKindName(ShapeKind K) {
   return "?";
 }
 
-bool analysis::defaultShape() {
-  const char *V = std::getenv("PSKETCH_SHAPE");
-  if (!V)
-    return true;
-  return std::strcmp(V, "off") != 0 && std::strcmp(V, "0") != 0 &&
-         std::strcmp(V, "false") != 0;
-}
-
 ShapeResult analysis::runShape(const Program &P,
                                const flat::FlatProgram &FP) {
   ShapeResult Out;
@@ -264,8 +254,6 @@ void analysis::runShapeScreen(Program &P, const flat::FlatProgram &FP,
   ShapeResult R = runShape(P, FP);
   if (!R.Ran)
     return;
-  Out.ShapeSites = static_cast<unsigned>(R.Pts.Sites.size());
-  Out.MustNotAliasPairs = R.Pts.mustNotAliasPairs();
   constexpr const char *Pass = "shape";
   for (const NullDerefFinding &F : R.NullDerefs)
     Sink.warning(Pass,

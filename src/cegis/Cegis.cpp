@@ -84,17 +84,6 @@ void cegis::accumulateCheckerStats(CegisStats &Stats,
     Stats.TightenedBits = Check.TightenedBits;
   if (Check.LockIndepPairs > Stats.LockIndepPairs)
     Stats.LockIndepPairs = Check.LockIndepPairs;
-  // Min over calls where the heap partition was actually applied
-  // (ShapeSites != 0), mirroring the SymmetryOrbits policy: a candidate
-  // whose partition was refused must not mask the refinement other
-  // candidates' Machines genuinely ran with.
-  if (Check.ShapeSites != 0) {
-    bool First = Stats.ShapeSites == 0;
-    if (First || Check.ShapeSites < Stats.ShapeSites)
-      Stats.ShapeSites = Check.ShapeSites;
-    if (First || Check.SiteIndepPairs < Stats.SiteIndepPairs)
-      Stats.SiteIndepPairs = Check.SiteIndepPairs;
-  }
   Stats.PackEscapes += Check.PackEscapes;
   Stats.SpilledStates += Check.SpilledStates;
   Stats.SpillBytes += Check.SpillBytes;
@@ -143,7 +132,6 @@ CegisResult ConcurrentCegis::run() {
   SynthOpts.WarmStart = Cfg.SolverWarmStart;
   synth::InductiveSynth Synth(FP, SynthOpts);
   bool Proved = applyPrescreen(P, FP, Cfg, Synth, R);
-  bool SeenPts = false; ///< MustNotAliasPairs min-where-ran latch
 
   while (!Proved) {
     // Budget checks.
@@ -167,18 +155,9 @@ CegisResult ConcurrentCegis::run() {
     bool HaveFacts = false;
     if (Cfg.AbsInt) {
       WallTimer AbsWatch;
-      Facts = analysis::analyzeCandidate(P, FP, Candidate,
-                                         analysis::AbsIntConfig(), Cfg.Shape);
+      Facts = analysis::analyzeCandidate(P, FP, Candidate);
       R.Stats.AbsIntSeconds += AbsWatch.seconds();
       HaveFacts = true;
-      if (Facts.Pts.Ran) {
-        // Min across candidates where points-to ran (the weakest
-        // must-not-alias evidence any tuned Machine rested on).
-        uint64_t Pairs = Facts.Pts.mustNotAliasPairs();
-        if (!SeenPts || Pairs < R.Stats.MustNotAliasPairs)
-          R.Stats.MustNotAliasPairs = Pairs;
-        SeenPts = true;
-      }
     }
     bool Refuted = HaveFacts && Facts.Refuted;
     if (Refuted && !Cfg.AbsIntAudit) {
@@ -206,8 +185,6 @@ CegisResult ConcurrentCegis::run() {
     if (HaveFacts && !Refuted) {
       Tuning.Locks = &Facts.Locks;
       Tuning.Bounds = &Facts.Bounds;
-      if (Cfg.Shape && !Facts.Heap.empty())
-        Tuning.Heap = &Facts.Heap;
     }
     Machine M(FP, Candidate, Tuning);
     R.Stats.VmodelSeconds += VModel.seconds();
@@ -223,23 +200,6 @@ CegisResult ConcurrentCegis::run() {
     if (Check.Ok && Check.Exhausted) {
       R.Stats.Aborted = true;
       break;
-    }
-
-    // Shape audit: re-check without the heap partition and demand the
-    // identical verdict and counterexample. Disagreement means the
-    // partition licensed an unsound POR discount — surfaced, not hidden.
-    if (Cfg.ShapeAudit && Tuning.Heap) {
-      exec::MachineTuning Plain = Tuning;
-      Plain.Heap = nullptr;
-      Machine Untuned(FP, Candidate, Plain);
-      verify::CheckResult Ref = verify::checkCandidate(Untuned, Cfg.Checker);
-      bool Agree = Ref.Ok == Check.Ok;
-      if (Agree && !Check.Ok)
-        Agree = Check.Cex && Ref.Cex && Check.Cex->Where == Ref.Cex->Where &&
-                Check.Cex->Steps == Ref.Cex->Steps &&
-                Check.Cex->V.Label == Ref.Cex->V.Label;
-      if (!Agree)
-        ++R.Stats.ShapeFalsePrunes;
     }
 
     if (Refuted) {
@@ -300,8 +260,7 @@ SequentialCegis::SequentialCegis(ir::Program &P,
   this->Cfg.Analysis.AbsInt = false;
   // The shape screen's leak lint likewise reasons from declared
   // initializers (reachability at quiescence), so it is forced off with
-  // the same argument; the per-candidate partition rides AbsInt anyway.
-  this->Cfg.Shape = false;
+  // the same argument.
   this->Cfg.Analysis.Shape = false;
   WallTimer Watch;
   FP = flat::flatten(P);

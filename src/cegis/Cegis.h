@@ -74,21 +74,8 @@ struct CegisConfig {
   /// soundness bug) and the candidate is handled per the concrete
   /// verdict. Used by the bench_absint gate.
   bool AbsIntAudit = false;
-  /// When true (the default, overridable via PSKETCH_SHAPE=off), the
-  /// allocation-site points-to analysis (analysis/PointsTo.h) runs per
-  /// candidate alongside the abstract interpreter: the proven heap
-  /// partition splits the Machine's per-field footprint bits into
-  /// per-(site, field) bits (POR discounts disjoint-site conflicts) and
-  /// refines the interval heap to per-site cells (tighter packed keys).
-  /// Sound — verdict and canonical counterexample are preserved — and a
-  /// no-op when CegisConfig::AbsInt is off (the facts ride the same
-  /// per-candidate analysis call). Opt out for ablation.
-  bool Shape = analysis::defaultShape();
-  /// Audit mode for the shape tuning: every failing shape-tuned check is
-  /// re-run untuned; a disagreement in verdict or counterexample
-  /// increments CegisStats::ShapeFalsePrunes (a soundness bug). Used by
-  /// the bench_shape gate.
-  bool ShapeAudit = false;
+  /// Kept only so verdictbench/ compiles; the library never reads it.
+  bool Shape = false;
   /// When true (the default, overridable via PSKETCH_WARM_START=off),
   /// the synthesizer's SAT solver runs warm-started: consecutive solves
   /// continue one search (trail reuse + replay, persistent Luby round,
@@ -166,19 +153,8 @@ struct CegisStats {
   uint64_t PackEscapes = 0;
   double AbsIntSeconds = 0.0;
   uint64_t AbsIntFalsePrunes = 0;
-  /// Shape observability (CegisConfig::Shape). ShapeSites and
-  /// SiteIndepPairs follow the SymmetryOrbits min-where-ran policy: the
-  /// weakest partition any candidate's Machine actually ran with (0 when
-  /// the pass was off or refused everywhere); MustNotAliasPairs is the
-  /// min across candidates where points-to ran. HeapRaceWarnings counts
-  /// the pre-screen's heap-field race findings. ShapeFalsePrunes counts
-  /// audit-mode disagreements between a shape-tuned check and its
-  /// untuned re-run (must be zero — enforced by the bench_shape gate).
-  unsigned ShapeSites = 0;
-  uint64_t MustNotAliasPairs = 0;
-  uint64_t SiteIndepPairs = 0;
+  /// The pre-screen shape lint's heap-field race findings.
   unsigned HeapRaceWarnings = 0;
-  uint64_t ShapeFalsePrunes = 0;
   /// Spill-tier observability summed across all verifier calls (nonzero
   /// only under CheckerConfig::Store == VisitedStore::Spill; see
   /// CheckResult and docs/SPILL.md). SpillFallback latches true if ANY
@@ -199,8 +175,8 @@ struct CegisStats {
 
 /// Folds one checker verdict's observability counters into a run's
 /// aggregate stats, applying each counter's accumulation policy (sums,
-/// maxima, and the min-where-ran rules for SymmetryOrbits and the shape
-/// counters). Exposed so tests can pin the policies directly.
+/// maxima, and the min-where-ran rule for SymmetryOrbits). Exposed so
+/// tests can pin the policies directly.
 void accumulateCheckerStats(CegisStats &Stats,
                             const verify::CheckResult &Check);
 

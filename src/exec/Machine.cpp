@@ -93,10 +93,6 @@ Machine::Machine(const flat::FlatProgram &FP, const HoleAssignment &Holes)
 Machine::Machine(const flat::FlatProgram &FP, const HoleAssignment &Holes,
                  const MachineTuning &Tuning)
     : Machine(FP, Holes) {
-  // Order matters: the heap partition widens the footprint universe, so
-  // it runs before the lock annotations stamp per-bit protection masks.
-  if (Tuning.Heap && !Tuning.Heap->empty())
-    applyHeapPartition(*Tuning.Heap);
   if (Tuning.Locks && !Tuning.Locks->empty())
     applyLockAnnotations(*Tuning.Locks);
   if (Tuning.Bounds && !Tuning.Bounds->empty())
@@ -179,15 +175,9 @@ void Machine::buildPackedLayout(const ValueBounds &Bounds) {
     if (!SetSlot(Layout.GlobalsOff + I, Bounds.GlobalSlots[I].Lo,
                  Bounds.GlobalSlots[I].Hi))
       return;
-  // Per-(pool node, field) intervals override the per-field-class row
-  // when the producer proved node ownership (prologue-only allocation);
-  // any other size falls back to the class intervals.
-  bool UseSlots = Bounds.HeapSlots.size() ==
-                  static_cast<size_t>(Layout.AllocOff - Layout.HeapOff);
   for (unsigned W = Layout.HeapOff; W < Layout.AllocOff; ++W) {
     const ValueBounds::Range &R =
-        UseSlots ? Bounds.HeapSlots[W - Layout.HeapOff]
-                 : Bounds.HeapFields[(W - Layout.HeapOff) % NumFields];
+        Bounds.HeapFields[(W - Layout.HeapOff) % NumFields];
     if (!SetSlot(W, R.Lo, R.Hi))
       return;
   }
@@ -237,40 +227,7 @@ bool Machine::packWords(const int64_t *Words, uint64_t *Out) const {
 // Static footprints.
 //===----------------------------------------------------------------------===//
 
-void Machine::addFieldBits(unsigned Ctx, ExprRef Base, unsigned Field,
-                           bool IsWrite, Footprint &F) const {
-  auto Add = [&](unsigned Bit) {
-    if (IsWrite)
-      F.addWrite(Bit);
-    else
-      F.addRead(Bit);
-  };
-  unsigned NumFields = static_cast<unsigned>(P.fields().size());
-  if (HeapPart && Ctx < HeapPart->Resolved.size()) {
-    unsigned SiteBase = NumGlobalSlots + NumFields + 1;
-    auto It = HeapPart->Resolved[Ctx].find(Base);
-    if (It != HeapPart->Resolved[Ctx].end()) {
-      // Resolved base: only the named sites' cells can be touched. A
-      // mask of 0 means provably null — the access faults before
-      // reaching the heap, so it touches no cell bit at all (earlier
-      // micro-ops of the step footprint their own effects).
-      for (unsigned S = 0; S < NumHeapSites; ++S)
-        if (It->second & (1ull << S))
-          Add(SiteBase + S * NumFields + Field);
-      return;
-    }
-    // Unresolved: the class bit plus every site's bit for the field, so
-    // it conflicts with resolved and unresolved accesses alike.
-    Add(NumGlobalSlots + Field);
-    for (unsigned S = 0; S < NumHeapSites; ++S)
-      Add(SiteBase + S * NumFields + Field);
-    return;
-  }
-  Add(NumGlobalSlots + Field); // coarse: any pool cell's field
-}
-
-void Machine::collectExprFootprint(unsigned Ctx, ExprRef E,
-                                   Footprint &F) const {
+void Machine::collectExprFootprint(ExprRef E, Footprint &F) const {
   switch (E->Kind) {
   case ExprKind::ConstInt:
   case ExprKind::LocalRead:
@@ -280,7 +237,7 @@ void Machine::collectExprFootprint(unsigned Ctx, ExprRef E,
     F.addRead(GlobalOffsets[E->Id]);
     return;
   case ExprKind::GlobalArrayRead: {
-    collectExprFootprint(Ctx, E->Ops[0], F);
+    collectExprFootprint(E->Ops[0], F);
     const Global &G = P.globals()[E->Id];
     auto Index = tryEvalStatic(P, E->Ops[0], Holes);
     if (Index && *Index >= 0 && *Index < static_cast<int64_t>(G.ArraySize))
@@ -291,8 +248,8 @@ void Machine::collectExprFootprint(unsigned Ctx, ExprRef E,
     return;
   }
   case ExprKind::FieldRead:
-    collectExprFootprint(Ctx, E->Ops[0], F);
-    addFieldBits(Ctx, E->Ops[0], E->Id, /*IsWrite=*/false, F);
+    collectExprFootprint(E->Ops[0], F);
+    F.addRead(NumGlobalSlots + E->Id); // any pool cell's field
     return;
   case ExprKind::Choice:
     // Resolved the way eval resolves it. Footprints are built eagerly for
@@ -300,7 +257,7 @@ void Machine::collectExprFootprint(unsigned Ctx, ExprRef E,
     // a partial assignment for schedule replay) falls through to the
     // conservative union of every alternative instead of asserting.
     if (E->Id < Holes.size() && Holes[E->Id] < E->Ops.size()) {
-      collectExprFootprint(Ctx, E->Ops[Holes[E->Id]], F);
+      collectExprFootprint(E->Ops[Holes[E->Id]], F);
       return;
     }
     break;
@@ -310,10 +267,10 @@ void Machine::collectExprFootprint(unsigned Ctx, ExprRef E,
     break;
   }
   for (ExprRef Op : E->Ops)
-    collectExprFootprint(Ctx, Op, F);
+    collectExprFootprint(Op, F);
 }
 
-void Machine::collectLocFootprint(unsigned Ctx, const Loc &L, bool IsWrite,
+void Machine::collectLocFootprint(const Loc &L, bool IsWrite,
                                   Footprint &F) const {
   auto Add = [&](unsigned Bit) {
     if (IsWrite)
@@ -328,7 +285,7 @@ void Machine::collectLocFootprint(unsigned Ctx, const Loc &L, bool IsWrite,
   case Loc::Kind::Local:
     return; // thread-private: outside the universe
   case Loc::Kind::GlobalArray: {
-    collectExprFootprint(Ctx, L.Index, F); // the index expression is read
+    collectExprFootprint(L.Index, F); // the index expression is read
     const Global &G = P.globals()[L.Id];
     auto Index = tryEvalStatic(P, L.Index, Holes);
     if (Index && *Index >= 0 && *Index < static_cast<int64_t>(G.ArraySize))
@@ -339,8 +296,8 @@ void Machine::collectLocFootprint(unsigned Ctx, const Loc &L, bool IsWrite,
     return;
   }
   case Loc::Kind::Field:
-    collectExprFootprint(Ctx, L.Index, F); // the pointer expression is read
-    addFieldBits(Ctx, L.Index, L.Id, IsWrite, F);
+    collectExprFootprint(L.Index, F); // the pointer expression is read
+    Add(NumGlobalSlots + L.Id);       // any pool cell's field
     return;
   }
 }
@@ -351,73 +308,31 @@ Footprint Machine::computeStepFootprint(unsigned Ctx, size_t Pc) const {
     return F; // never executes under this candidate
   const Step &St = bodyOf(Ctx).Steps[Pc];
   if (St.DynGuard)
-    collectExprFootprint(Ctx, St.DynGuard, F);
+    collectExprFootprint(St.DynGuard, F);
   if (St.WaitCond)
-    collectExprFootprint(Ctx, St.WaitCond, F);
+    collectExprFootprint(St.WaitCond, F);
   for (const MicroOp &Op : St.Ops) {
     if (Op.Pred)
-      collectExprFootprint(Ctx, Op.Pred, F);
+      collectExprFootprint(Op.Pred, F);
     switch (Op.OpKind) {
     case MicroOp::Kind::Write:
-      collectExprFootprint(Ctx, Op.Value, F);
-      collectLocFootprint(Ctx, Op.Target, /*IsWrite=*/true, F);
+      collectExprFootprint(Op.Value, F);
+      collectLocFootprint(Op.Target, /*IsWrite=*/true, F);
       break;
     case MicroOp::Kind::Assert:
-      collectExprFootprint(Ctx, Op.Value, F);
+      collectExprFootprint(Op.Value, F);
       break;
     case MicroOp::Kind::Alloc: {
       unsigned AllocBit = NumGlobalSlots + static_cast<unsigned>(
                                                P.fields().size());
       F.addRead(AllocBit);
       F.addWrite(AllocBit);
-      collectLocFootprint(Ctx, Op.Target, /*IsWrite=*/true, F);
+      collectLocFootprint(Op.Target, /*IsWrite=*/true, F);
       break;
     }
     }
   }
   return F;
-}
-
-void Machine::applyHeapPartition(const HeapPartition &Heap) {
-  // Shape checks mirror applyLockAnnotations: a producer disagreement
-  // disables the channel rather than risking a wrong independence claim.
-  if (Heap.NumSites == 0 || Heap.NumSites > HeapPartition::MaxSites ||
-      Heap.Resolved.size() != numContexts())
-    return;
-
-  // Keep the coarse footprints so the newly-independent pairs can be
-  // counted after the refinement.
-  std::vector<std::vector<Footprint>> CoarseFp = StepFp;
-
-  HeapPart = &Heap;
-  NumHeapSites = Heap.NumSites;
-  FpBits = NumGlobalSlots + static_cast<unsigned>(P.fields().size()) + 1 +
-           NumHeapSites * static_cast<unsigned>(P.fields().size());
-  for (unsigned Ctx = 0; Ctx < numContexts(); ++Ctx) {
-    const FlatBody &B = bodyOf(Ctx);
-    StepFp[Ctx].assign(B.Steps.size() + 1, Footprint(FpBits));
-    SuffixFp[Ctx].assign(B.Steps.size() + 1, Footprint(FpBits));
-    for (size_t I = 0; I < B.Steps.size(); ++I)
-      StepFp[Ctx][I] = computeStepFootprint(Ctx, I);
-    for (size_t I = B.Steps.size(); I-- > 0;) {
-      SuffixFp[Ctx][I] = SuffixFp[Ctx][I + 1];
-      SuffixFp[Ctx][I].unionWith(StepFp[Ctx][I]);
-    }
-  }
-  // The tuning pointee only outlives the constructor call; footprints
-  // are never recomputed after construction, so drop the reference.
-  HeapPart = nullptr;
-
-  // Observability: cross-thread step pairs the split newly classifies
-  // independent (the lock channel has not stamped anything yet, so
-  // conflictsWith is the full conflict relation on both sides).
-  for (unsigned A = 0; A < numThreads(); ++A)
-    for (unsigned B = A + 1; B < numThreads(); ++B)
-      for (size_t I = 0; I < StepFp[A].size(); ++I)
-        for (size_t J = 0; J < StepFp[B].size(); ++J)
-          if (CoarseFp[A][I].conflictsWith(CoarseFp[B][J]) &&
-              !StepFp[A][I].conflictsWith(StepFp[B][J]))
-            ++SiteIndepPairs;
 }
 
 const FlatBody &Machine::bodyOf(unsigned Ctx) const {

@@ -75,11 +75,9 @@ public:
 
   /// As above, additionally consuming analysis-proven facts about this
   /// candidate (exec/Tuning.h): must-hold locksets sharpen the footprint
-  /// independence relation (the protectedBy channel), value intervals
-  /// pack the visited-set key into fewer bits, and an allocation-site
-  /// heap partition splits the heap footprint bits per (site, field).
-  /// All default to off; an empty/null tuning reproduces the plain
-  /// constructor exactly.
+  /// independence relation (the protectedBy channel) and value
+  /// intervals pack the visited-set key into fewer bits. Both default to
+  /// off; an empty/null tuning reproduces the plain constructor exactly.
   Machine(const flat::FlatProgram &FP, const ir::HoleAssignment &Holes,
           const MachineTuning &Tuning);
 
@@ -186,16 +184,6 @@ public:
   /// annotations): the --stats LockIndepPairs counter.
   uint64_t lockIndepPairs() const { return LockIndepPairs; }
 
-  /// Allocation sites partitioning the heap footprint bits (0 when no
-  /// HeapPartition tuning was applied and the coarse per-field-class
-  /// universe is in effect): the --stats ShapeSites counter.
-  unsigned shapeSites() const { return NumHeapSites; }
-
-  /// Cross-thread step pairs that conflict under the coarse heap-class
-  /// bits but are independent under the per-(site, field) split: the
-  /// --stats SiteIndepPairs counter.
-  uint64_t siteIndepPairs() const { return SiteIndepPairs; }
-
   /// \returns the flat-state layout this machine's states share.
   const StateLayout &layout() const { return Layout; }
 
@@ -215,10 +203,6 @@ public:
   /// Bits in the footprint universe: one per flattened global slot, one
   /// per heap field class (all pool cells of a field conflated), plus one
   /// for the allocation counter. Thread-private pc/locals are excluded.
-  /// Under a HeapPartition tuning the universe additionally carries one
-  /// bit per (allocation site, field); accesses whose base pointer the
-  /// points-to analysis resolved touch only their sites' bits, so
-  /// disjoint-site accesses stop conflicting.
   unsigned footprintBits() const { return FpBits; }
 
   /// The static read/write footprint of step \p Pc of context \p Ctx, a
@@ -293,26 +277,11 @@ private:
   uint64_t LockIndepPairs = 0;
   mutable std::atomic<uint64_t> PackEscapes{0};
 
-  /// Heap-partition tuning state. HeapPart is only non-null while
-  /// applyHeapPartition recomputes the footprints (the tuning pointee
-  /// outlives the constructor call only); NumHeapSites and the counter
-  /// persist for the stats surface.
-  const HeapPartition *HeapPart = nullptr;
-  unsigned NumHeapSites = 0;
-  uint64_t SiteIndepPairs = 0;
-
-  void collectExprFootprint(unsigned Ctx, ir::ExprRef E, Footprint &F) const;
-  void collectLocFootprint(unsigned Ctx, const ir::Loc &L, bool IsWrite,
+  void collectExprFootprint(ir::ExprRef E, Footprint &F) const;
+  void collectLocFootprint(const ir::Loc &L, bool IsWrite,
                            Footprint &F) const;
-  /// Adds the heap-cell bits of a field access with base pointer \p Base:
-  /// per-(site, field) bits when the partition resolved the base in
-  /// context \p Ctx, the coarse class bit (plus every site bit for the
-  /// field, when a partition is active) otherwise.
-  void addFieldBits(unsigned Ctx, ir::ExprRef Base, unsigned Field,
-                    bool IsWrite, Footprint &F) const;
   Footprint computeStepFootprint(unsigned Ctx, size_t Pc) const;
   void applyLockAnnotations(const LockAnnotations &Locks);
-  void applyHeapPartition(const HeapPartition &Heap);
   void buildPackedLayout(const ValueBounds &Bounds);
   /// Packs the scheduler prefix into \p Out (KeyWords words, zeroed by
   /// the caller). \returns false when some word escapes its interval.

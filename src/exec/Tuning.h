@@ -29,31 +29,15 @@
 ///    bug) is caught at encode time and falls back to the raw encoding,
 ///    so a wrong interval costs memory, never soundness.
 ///
-///  * HeapPartition: the NumSites allocation sites partition the live
-///    heap — every concrete node is produced by exactly one site's Alloc
-///    (flat bodies are loop-free, so a site allocates at most once per
-///    run, and the allocator hands out strictly increasing ids). Each
-///    Resolved[Ctx] entry maps a pointer expression to the mask of sites
-///    its runtime value can name in ANY reachable state (mask 0 =
-///    provably null: the access faults before touching a heap cell).
-///    Expressions absent from the map are unresolved and keep the coarse
-///    per-field-class footprint bits.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef PSKETCH_EXEC_TUNING_H
 #define PSKETCH_EXEC_TUNING_H
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 namespace psketch {
-
-namespace ir {
-class Expr;
-} // namespace ir
-
 namespace exec {
 
 /// Per-candidate must-hold lockset annotations (analysis/Lockset.h).
@@ -82,31 +66,15 @@ struct ValueBounds {
   };
   std::vector<Range> GlobalSlots; ///< per flattened global slot
   std::vector<Range> HeapFields;  ///< per field class (all pool cells)
-  /// Optional per-(pool node, field) intervals, poolSize * numFields
-  /// entries in heap-word order (node-major). When sized correctly they
-  /// override HeapFields word-for-word — valid only when the producer
-  /// proved which site owns each pool index (prologue-only allocation).
-  std::vector<Range> HeapSlots;
   std::vector<std::vector<Range>> Locals; ///< [ctx][local slot]
 
   bool empty() const { return GlobalSlots.empty(); }
 };
 
-/// Per-candidate allocation-site heap partition (analysis/PointsTo.h).
-/// See the file comment for the contract; the Machine splits its
-/// per-field heap-class footprint bits into per-(site, field) bits for
-/// resolved accesses, which is what lets the POR discount conflicts
-/// between accesses with disjoint site sets.
+/// Kept only so verdictbench/ compiles: it carries no facts and the
+/// Machine never reads it.
 struct HeapPartition {
-  static constexpr unsigned MaxSites = 64;
-
-  unsigned NumSites = 0;
-  /// Resolved[Ctx]: pointer expression (arena-stable, keyed by address)
-  /// -> site mask. One map per machine context (threads, prologue,
-  /// epilogue).
-  std::vector<std::unordered_map<const ir::Expr *, uint64_t>> Resolved;
-
-  bool empty() const { return NumSites == 0; }
+  bool empty() const { return true; }
 };
 
 /// Optional analysis facts handed to the Machine constructor. Null
@@ -116,6 +84,7 @@ struct HeapPartition {
 struct MachineTuning {
   const LockAnnotations *Locks = nullptr;
   const ValueBounds *Bounds = nullptr;
+  /// Kept only so verdictbench/ compiles; the Machine never reads it.
   const HeapPartition *Heap = nullptr;
 };
 

@@ -437,7 +437,5 @@ CheckResult psketch::verify::checkCandidate(const Machine &M,
   Res.TightenedBits = M.tightenedBits();
   Res.LockIndepPairs = M.lockIndepPairs();
   Res.PackEscapes = M.packEscapes();
-  Res.ShapeSites = M.shapeSites();
-  Res.SiteIndepPairs = M.siteIndepPairs();
   return Res;
 }

@@ -292,12 +292,6 @@ struct CheckResult {
   unsigned TightenedBits = 0;
   uint64_t LockIndepPairs = 0;
   uint64_t PackEscapes = 0;
-  /// Heap-partition observability, stamped from the Machine (zero when
-  /// no HeapPartition tuning applied): allocation sites splitting the
-  /// heap footprint bits, and cross-thread step pairs the split newly
-  /// classifies independent.
-  unsigned ShapeSites = 0;
-  uint64_t SiteIndepPairs = 0;
 };
 
 /// Model-checks one candidate (a Machine is a program plus a hole

@@ -10,6 +10,7 @@
 #include "cegis/Enumerate.h"
 #include "exec/Machine.h"
 #include "synth/InductiveSynth.h"
+#include "verify/Oracle.h"
 
 #include <gtest/gtest.h>
 
@@ -55,12 +56,10 @@ bench::SuiteEntry suiteRow(const std::string &Family, const std::string &Test) {
 }
 
 /// The library-default configuration with one checker worker, and the
-/// environment-overridable defaults (PSKETCH_SHAPE, PSKETCH_WARM_START)
-/// pinned to their shipped values so every CI job runs one trajectory.
+/// environment-overridable default (PSKETCH_WARM_START) pinned to its
+/// shipped value so every CI job runs one trajectory.
 CegisConfig shippedDefaults() {
   CegisConfig Cfg;
-  Cfg.Shape = true;
-  Cfg.Analysis.Shape = true;
   Cfg.SolverWarmStart = true;
   Cfg.Checker.NumThreads = 1;
   return Cfg;
@@ -346,6 +345,31 @@ TEST(Enumerate, StateBudgetCutoffClaimsNothing) {
   }
 }
 
+// Each counterexample trace rules out a subspace, so the shipped loop
+// needs about one SAT solve per verifier call. A per-candidate screen that
+// refutes candidates one point at a time shows up here as a solve count
+// far above the verifier calls (queueDE2 once took 2310 solves for 6
+// calls). The resolved candidate must also pass the unreduced reference
+// oracle.
+TEST(Cegis, SolvesStayWithinOnePerVerifierCall) {
+  const std::pair<const char *, const char *> Rows[] = {
+      {"queueDE2", "ed(ed|ed)"},
+      {"queueE2", "ed(ed|ed)"},
+      {"queueE2", "(e|e|e)ddd"},
+  };
+  for (const auto &[Family, Test] : Rows) {
+    std::string Row = std::string(Family) + " " + Test;
+    auto P = suiteRow(Family, Test).Build();
+    ConcurrentCegis C(*P, shippedDefaults());
+    CegisResult R = C.run();
+    ASSERT_TRUE(R.Stats.Resolvable) << Row;
+    EXPECT_LE(R.Stats.SolveLog.size(), R.Stats.Iterations + 1u) << Row;
+    exec::Machine M(C.flatProgram(), R.Candidate);
+    verify::CheckResult Oracle = verify::checkOracle(M);
+    EXPECT_TRUE(Oracle.Ok && !Oracle.Exhausted) << Row;
+  }
+}
+
 // The exact CEGIS trajectory of four light Figure-9 rows under the shipped
 // defaults: iterations, total checker states, the resolved candidate, the
 // encoding the synthesizer built (gate DAG nodes and SAT clauses) and the
@@ -366,10 +390,10 @@ TEST(Cegis, PinnedTrajectories) {
   const Pin Pins[] = {
       {"barrier1", "N=3,B=2", 11, 420, {4, 1, 6, 1, 1, 2, 3, 0, 0, 1},
        43899, 119853, 1274728, 231, 473},
-      {"fineset1", "ar(ar|ar)", 6, 369, {0, 1, 2, 3, 2, 2, 2, 0},
+      {"fineset1", "ar(ar|ar)", 6, 383, {0, 1, 2, 3, 2, 2, 2, 0},
        35646, 95403, 810461, 120, 366},
-      {"queueE2", "ed(ed|ed)", 6, 645, {1, 2, 0, 2, 4, 0, 4, 1, 4, 0, 0},
-       44790, 131996, 1431064, 403, 2963},
+      {"queueE2", "ed(ed|ed)", 2, 631, {0, 1, 2, 1, 2, 0, 4, 0, 2, 2, 4},
+       10616, 31587, 183240, 171, 505},
       {"dinphilo", "N=4,T=3", 2, 12144, {2, 2, 0, 1, 2, 6, 0, 0},
        333, 792, 278, 0, 24},
   };

@@ -17,8 +17,8 @@
 //    workload, with AmpleStates > 0, and the sequential engine's sleep
 //    sets skip at least one transition on a conflict-then-commute
 //    pattern (the reference oracle agreeing on the verdict);
-//  * on tuned Machines (lock annotations plus heap partition) the POR
-//    relations commutes / singletonIndependent equal their bitwise
+//  * on tuned Machines (lock annotations) the POR relations
+//    commutes / singletonIndependent equal their bitwise
 //    footprint definitions for every cross-thread pc pair, clamped
 //    beyond-range pcs included;
 //  * a CEGIS run under Ample is trajectory-identical to Local (same
@@ -28,7 +28,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/AbsInt.h"
-#include "analysis/PointsTo.h"
 #include "benchmarks/Suite.h"
 #include "cegis/Cegis.h"
 #include "desugar/Flatten.h"
@@ -244,141 +243,6 @@ TEST(Footprint, SoundOverRandomProgramsCandidatesAndSchedules) {
 }
 
 //===----------------------------------------------------------------------===//
-// Heap-manipulating programs under the allocation-site partition.
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// A random heap-manipulating two-thread program: the prologue allocates
-/// the whole pool into scalar pointer globals (optionally linking a
-/// chain) and the threads write and read random fields through the
-/// published roots, some behind holes. Every dereference base is a
-/// global read, so the points-to pass resolves it to a singleton site.
-std::unique_ptr<Program> buildRandomHeapProgram(uint64_t Seed) {
-  Rng R(Seed);
-  auto P = std::make_unique<Program>();
-  unsigned Val = P->addField("val", Type::Int);
-  unsigned Next = P->addField("next", Type::Ptr);
-  unsigned Out = P->addGlobal("out", Type::Int, 0);
-  unsigned NumNodes = 2 + static_cast<unsigned>(R.below(2));
-  P->setPoolSize(NumNodes);
-  std::vector<unsigned> Roots;
-  std::vector<StmtRef> Pro;
-  for (unsigned I = 0; I < NumNodes; ++I) {
-    Roots.push_back(
-        P->addGlobal("g" + std::to_string(I), Type::Ptr, 0));
-    Pro.push_back(P->alloc(P->locGlobal(Roots.back())));
-  }
-  if (R.below(2))
-    Pro.push_back(P->assign(P->locField(P->global(Roots[0]), Next),
-                            P->global(Roots[1])));
-  P->setRoot(BodyId::prologue(), P->seq(std::move(Pro)));
-  for (unsigned T = 0; T < 2; ++T) {
-    unsigned Id = P->addThread("t");
-    std::vector<StmtRef> Stmts;
-    unsigned NumStmts = 1 + static_cast<unsigned>(R.below(3));
-    for (unsigned S = 0; S < NumStmts; ++S) {
-      unsigned Node = static_cast<unsigned>(R.below(NumNodes));
-      switch (R.below(3)) {
-      case 0:
-        Stmts.push_back(P->assign(
-            P->locField(P->global(Roots[Node]), Val),
-            R.below(2)
-                ? P->constInt(static_cast<int64_t>(R.below(4)))
-                : P->choose("h",
-                            {P->constInt(static_cast<int64_t>(R.below(4))),
-                             P->constInt(
-                                 static_cast<int64_t>(2 + R.below(4)))})));
-        break;
-      case 1:
-        Stmts.push_back(P->assign(P->locGlobal(Out),
-                                  P->field(P->global(Roots[Node]), Val)));
-        break;
-      default:
-        Stmts.push_back(P->assign(
-            P->locField(P->global(Roots[Node]), Next),
-            P->global(Roots[static_cast<unsigned>(R.below(NumNodes))])));
-        break;
-      }
-    }
-    P->setRoot(BodyId::thread(Id), P->seq(std::move(Stmts)));
-  }
-  P->setRoot(BodyId::epilogue(), P->nop());
-  return P;
-}
-
-} // namespace
-
-TEST(Footprint, HeapSitePartitionSoundOverRandomPrograms) {
-  // The per-(site, field) refinement's POR obligation, checked
-  // empirically: on randomized heap programs, any co-enabled pair the
-  // shape-tuned footprints declare commuting must produce the same
-  // state in either execution order — including pairs the coarse
-  // per-field class universe refuses (those must occur, or the
-  // partition licensed nothing and the test is vacuous).
-  Rng R(0x5EA9ull);
-  uint64_t PairsChecked = 0, NewlyLicensed = 0;
-  for (uint64_t Seed = 1; Seed <= 12; ++Seed) {
-    auto P = buildRandomHeapProgram(Seed);
-    flat::FlatProgram FP = flat::flatten(*P);
-    for (int Cand = 0; Cand < 2; ++Cand) {
-      ir::HoleAssignment A = Cand ? randomAssignment(*P, R)
-                                  : ir::HoleAssignment(P->holes().size(), 0);
-      analysis::PointsToResult Pts = analysis::runPointsTo(FP, &A);
-      ASSERT_TRUE(Pts.Ran) << "seed " << Seed;
-      exec::HeapPartition H = analysis::toHeapPartition(Pts);
-      ASSERT_FALSE(H.empty()) << "seed " << Seed;
-      exec::MachineTuning Tuning;
-      Tuning.Heap = &H;
-      exec::Machine Tuned(FP, A, Tuning);
-      exec::Machine Plain(FP, A);
-      EXPECT_EQ(Tuned.shapeSites(), Pts.Sites.size()) << "seed " << Seed;
-
-      for (int Schedule = 0; Schedule < 6; ++Schedule) {
-        exec::State S = Tuned.initialState();
-        exec::Violation V;
-        if (!Tuned.runToCompletion(S, Tuned.prologueCtx(), V))
-          break;
-        for (int Step = 0; Step < 16; ++Step) {
-          for (unsigned T0 = 0; T0 < Tuned.numThreads(); ++T0)
-            for (unsigned T1 = T0 + 1; T1 < Tuned.numThreads(); ++T1) {
-              exec::State Probe = S;
-              exec::ExecOutcome O0 = Tuned.execStep(Probe, T0, V);
-              if (O0.Result != exec::StepResult::Ok)
-                continue;
-              exec::State Probe2 = S;
-              exec::ExecOutcome O1 = Tuned.execStep(Probe2, T1, V);
-              if (O1.Result != exec::StepResult::Ok)
-                continue;
-              if (!Tuned.commutes(T0, O0.ExecutedPc, T1, O1.ExecutedPc))
-                continue;
-              if (!Plain.commutes(T0, O0.ExecutedPc, T1, O1.ExecutedPc))
-                ++NewlyLicensed;
-              exec::State AB = S, BA = S;
-              if (Tuned.execStep(AB, T0, V).Result != exec::StepResult::Ok ||
-                  Tuned.execStep(AB, T1, V).Result != exec::StepResult::Ok ||
-                  Tuned.execStep(BA, T1, V).Result != exec::StepResult::Ok ||
-                  Tuned.execStep(BA, T0, V).Result != exec::StepResult::Ok)
-                continue;
-              EXPECT_TRUE(AB == BA)
-                  << "seed " << Seed << " pcs " << O0.ExecutedPc << "/"
-                  << O1.ExecutedPc
-                  << ": site-declared-commuting pair disagrees";
-              ++PairsChecked;
-            }
-          unsigned Ctx = static_cast<unsigned>(R.below(Tuned.numThreads()));
-          if (Tuned.execStep(S, Ctx, V).Result == exec::StepResult::Violated)
-            break;
-        }
-      }
-    }
-  }
-  EXPECT_GT(PairsChecked, 0u);
-  EXPECT_GT(NewlyLicensed, 0u)
-      << "the partition never licensed a pair the class universe refused";
-}
-
-//===----------------------------------------------------------------------===//
 // POR relations on analysis-tuned Machines.
 //===----------------------------------------------------------------------===//
 
@@ -424,7 +288,7 @@ bool refConflict(const BitFootprint &A, const BitFootprint &B) {
 } // namespace
 
 TEST(BatchRelations, TunedQueriesMatchFootprintDefinitions) {
-  unsigned Locked = 0, Partitioned = 0;
+  unsigned Locked = 0;
   for (const char *Family :
        {"queueE1", "queueE2", "queueDE1", "queueDE2", "barrier1", "barrier2",
         "fineset1", "fineset2", "lazyset", "dinphilo"}) {
@@ -443,15 +307,12 @@ TEST(BatchRelations, TunedQueriesMatchFootprintDefinitions) {
     }
     flat::FlatProgram FP = flat::flatten(*P);
     analysis::CandidateFacts Facts =
-        analysis::analyzeCandidate(*P, FP, Cand, analysis::AbsIntConfig(),
-                                   /*WithHeap=*/true);
+        analysis::analyzeCandidate(*P, FP, Cand);
     ASSERT_FALSE(Facts.Refuted) << Family;
     exec::MachineTuning Tuning;
     Tuning.Locks = &Facts.Locks;
-    Tuning.Heap = &Facts.Heap;
     exec::Machine M(FP, Cand, Tuning);
     Locked += !Facts.Locks.empty();
-    Partitioned += M.shapeSites() != 0;
 
     // Reference step and suffix footprints per thread, for every pc up to
     // two past the body: the extra pcs probe the clamp to the empty
@@ -516,7 +377,6 @@ TEST(BatchRelations, TunedQueriesMatchFootprintDefinitions) {
     }
   }
   EXPECT_GT(Locked, 0u) << "no row exercised the lock-protection channel";
-  EXPECT_GT(Partitioned, 0u) << "no row exercised the heap partition";
 }
 
 //===----------------------------------------------------------------------===//

@@ -1,4 +1,4 @@
-//===- tests/test_shape.cpp - points-to, shape lint & partition tests -----===//
+//===- tests/test_shape.cpp - points-to and shape lint tests --------------===//
 //
 // Part of psketch-cpp, a reproduction of "Sketching Concurrent Data
 // Structures" (PLDI 2008).
@@ -11,23 +11,16 @@
 //    sorted-list race fixture yields exactly one heap-field race, the
 //    leak fixture yields the leak and the provably-null dereference and
 //    stays quiet about the published node;
-//  * the heap partition splits the per-field footprint class: disjoint
-//    single-site writes commute under the tuning and still conflict
-//    without it, and declared-commuting pairs agree in both orders on
-//    randomized reachable states (the POR soundness obligation);
-//  * per-site interval cells export HeapSlots bounds for prologue-owned
-//    pools, tighter than the per-field class row;
 //  * symmetry inference admits disciplined thread-private heaps (one
 //    orbit) and still refuses escaping thread allocations and
 //    value-asymmetric heap bodies;
-//  * CEGIS integration: --shape on/off verdict agreement on heap
-//    sketches, the audit's zero-false-prunes gate, and the
-//    min-where-ran stats accumulation policy for ShapeSites and
-//    SiteIndepPairs.
+//  * CEGIS integration: with the shape lint on or off, CEGIS resolves a
+//    heap sketch to the same candidate and the reference oracle accepts
+//    it; the min-where-ran stats accumulation policy for
+//    SymmetryOrbits.
 //
 //===----------------------------------------------------------------------===//
 
-#include "analysis/AbsInt.h"
 #include "analysis/Analyzer.h"
 #include "analysis/PointsTo.h"
 #include "analysis/Shape.h"
@@ -36,8 +29,8 @@
 #include "desugar/Flatten.h"
 #include "exec/Machine.h"
 #include "frontend/Parser.h"
-#include "support/Rng.h"
 #include "verify/ModelChecker.h"
+#include "verify/Oracle.h"
 
 #include <gtest/gtest.h>
 
@@ -63,14 +56,6 @@ std::unique_ptr<Program> parseFixture(const std::string &RelPath) {
   return std::move(Parsed.Program);
 }
 
-/// Shape explicitly on: the PSKETCH_SHAPE=off CI job must not turn the
-/// pass under test off.
-AnalysisConfig shapeOnConfig() {
-  AnalysisConfig Cfg;
-  Cfg.Shape = true;
-  return Cfg;
-}
-
 bool hasDiag(const std::vector<Diagnostic> &Diags, const std::string &Pass,
              const std::string &Needle) {
   for (const Diagnostic &D : Diags)
@@ -89,8 +74,7 @@ unsigned countDiags(const std::vector<Diagnostic> &Diags,
 }
 
 /// Prologue allocates one node per global pointer; each thread writes a
-/// field of its own node. The per-field class footprint conflicts, the
-/// per-(site, field) partition does not.
+/// field of its own node.
 std::unique_ptr<Program> buildDisjointWriters() {
   auto P = std::make_unique<Program>();
   unsigned Val = P->addField("val", Type::Int);
@@ -206,15 +190,19 @@ TEST(PointsTo, SeparatesPublishedFromPrivateSites) {
   // Neither node is reachable from a global: both thread-private.
   EXPECT_EQ(R.Escaping, 0u);
   EXPECT_EQ(R.ThreadPrivate, 3u);
-  // Distinct allocation sites never alias.
-  EXPECT_GE(R.mustNotAliasPairs(), 1u);
-  // Each thread's local dereference resolves to its own site only.
+  // Each thread's local dereference resolves to its own site only, so
+  // the two threads' dereferences never alias.
   for (unsigned T = 0; T < 2; ++T)
     for (const auto &KV : R.Derefs[T]) {
       EXPECT_TRUE(KV.second.resolved()) << "thread " << T;
       EXPECT_EQ(KV.second.Sites & (KV.second.Sites - 1), 0u)
           << "thread " << T << ": more than one site";
     }
+  ASSERT_FALSE(R.Derefs[0].empty());
+  ASSERT_FALSE(R.Derefs[1].empty());
+  for (const auto &A : R.Derefs[0])
+    for (const auto &B : R.Derefs[1])
+      EXPECT_TRUE(A.second.disjointSites(B.second));
 }
 
 TEST(PointsTo, PublishingEscapesTheSite) {
@@ -235,10 +223,8 @@ TEST(Fixture, SortedListRaceIsFlagged) {
   auto P = parseFixture("../examples/sorted_list_race.psk");
   ASSERT_TRUE(P);
   flat::FlatProgram FP = flat::flatten(*P);
-  AnalysisResult A = analyze(*P, FP, shapeOnConfig());
+  AnalysisResult A = analyze(*P, FP);
 
-  EXPECT_EQ(A.ShapeSites, 2u);
-  EXPECT_GE(A.MustNotAliasPairs, 1u);
   EXPECT_EQ(A.HeapRaceWarnings, 1u);
   EXPECT_TRUE(hasDiag(
       A.Diags, "shape",
@@ -256,7 +242,7 @@ TEST(Fixture, LeakAndNullDerefAreFlagged) {
   auto P = parseFixture("fixtures/leak_null.psk");
   ASSERT_TRUE(P);
   flat::FlatProgram FP = flat::flatten(*P);
-  AnalysisResult A = analyze(*P, FP, shapeOnConfig());
+  AnalysisResult A = analyze(*P, FP);
 
   EXPECT_TRUE(hasDiag(
       A.Diags, "shape",
@@ -288,130 +274,6 @@ TEST(Fixture, ShapeClassifiesRaceListSites) {
   EXPECT_EQ(R.LeakedSites, 0u);
   ASSERT_EQ(R.HeapRaces.size(), 1u);
   EXPECT_EQ(R.HeapRaces[0].FieldName, "val");
-}
-
-//===----------------------------------------------------------------------===//
-// Footprint partition: disjoint sites commute, and only then.
-//===----------------------------------------------------------------------===//
-
-TEST(Footprint, SitePartitionSplitsDisjointNodeWrites) {
-  auto P = buildDisjointWriters();
-  flat::FlatProgram FP = flat::flatten(*P);
-  HoleAssignment C(P->holes().size(), 0);
-
-  exec::Machine Plain(FP, C);
-  EXPECT_FALSE(Plain.commutes(0, 0, 1, 0))
-      << "class footprint must merge all nodes' val cells";
-
-  PointsToResult R = runPointsTo(FP, &C);
-  ASSERT_TRUE(R.Ran);
-  exec::HeapPartition H = toHeapPartition(R);
-  ASSERT_FALSE(H.empty());
-  exec::MachineTuning Tuning;
-  Tuning.Heap = &H;
-  exec::Machine Tuned(FP, C, Tuning);
-  EXPECT_EQ(Tuned.shapeSites(), 2u);
-  EXPECT_GT(Tuned.siteIndepPairs(), 0u);
-  EXPECT_TRUE(Tuned.commutes(0, 0, 1, 0))
-      << "single-site writes to distinct nodes must commute";
-}
-
-TEST(Footprint, ShapeTunedCommutingPairsAgreeInBothOrders) {
-  // The POR soundness obligation under the partition: any co-enabled
-  // pair the tuned footprints declare commuting must produce the same
-  // state in either order, on randomized reachable states.
-  Rng R(0x5A7Eull);
-  unsigned PairsChecked = 0;
-  for (int Which = 0; Which < 3; ++Which) {
-    std::unique_ptr<Program> P =
-        Which == 0 ? buildDisjointWriters()
-                   : buildPrivateHeapPair(Which == 1, /*SameVal=*/true);
-    flat::FlatProgram FP = flat::flatten(*P);
-    HoleAssignment C(P->holes().size(), 0);
-    PointsToResult Pts = runPointsTo(FP, &C);
-    ASSERT_TRUE(Pts.Ran) << Which;
-    exec::HeapPartition H = toHeapPartition(Pts);
-    exec::MachineTuning Tuning;
-    if (!H.empty())
-      Tuning.Heap = &H;
-    exec::Machine M(FP, C, Tuning);
-
-    for (int Schedule = 0; Schedule < 8; ++Schedule) {
-      exec::State S = M.initialState();
-      exec::Violation V;
-      if (!M.runToCompletion(S, M.prologueCtx(), V))
-        break;
-      for (int Step = 0; Step < 16; ++Step) {
-        for (unsigned T0 = 0; T0 < M.numThreads(); ++T0)
-          for (unsigned T1 = T0 + 1; T1 < M.numThreads(); ++T1) {
-            exec::State Probe = S;
-            exec::ExecOutcome O0 = M.execStep(Probe, T0, V);
-            if (O0.Result != exec::StepResult::Ok)
-              continue;
-            exec::State Probe2 = S;
-            exec::ExecOutcome O1 = M.execStep(Probe2, T1, V);
-            if (O1.Result != exec::StepResult::Ok)
-              continue;
-            if (!M.commutes(T0, O0.ExecutedPc, T1, O1.ExecutedPc))
-              continue;
-            exec::State AB = S, BA = S;
-            if (M.execStep(AB, T0, V).Result != exec::StepResult::Ok ||
-                M.execStep(AB, T1, V).Result != exec::StepResult::Ok ||
-                M.execStep(BA, T1, V).Result != exec::StepResult::Ok ||
-                M.execStep(BA, T0, V).Result != exec::StepResult::Ok)
-              continue;
-            EXPECT_TRUE(AB == BA)
-                << "workload " << Which << " pcs " << O0.ExecutedPc << "/"
-                << O1.ExecutedPc
-                << ": shape-declared-commuting pair disagrees";
-            ++PairsChecked;
-          }
-        unsigned Ctx = static_cast<unsigned>(R.below(M.numThreads()));
-        if (M.execStep(S, Ctx, V).Result == exec::StepResult::Violated)
-          break;
-      }
-    }
-  }
-  EXPECT_GT(PairsChecked, 0u);
-}
-
-//===----------------------------------------------------------------------===//
-// Per-site interval cells.
-//===----------------------------------------------------------------------===//
-
-TEST(AbsInt, HeapSlotsExportForPrologueOwnedPool) {
-  auto P = buildDisjointWriters();
-  flat::FlatProgram FP = flat::flatten(*P);
-  HoleAssignment C(P->holes().size(), 0);
-  PointsToResult Pts = runPointsTo(FP, &C);
-  ASSERT_TRUE(Pts.Ran);
-
-  AbsIntResult R = runAbsInt(*P, FP, &C, AbsIntConfig(), -1, 0, &Pts);
-  EXPECT_FALSE(R.Refuted);
-  // Both sites are unconditional prologue allocations: per-node bounds
-  // export, and each node's val cell sees only its own thread's store.
-  const size_t NF = P->fields().size();
-  ASSERT_EQ(R.Bounds.HeapSlots.size(), static_cast<size_t>(P->poolSize()) * NF);
-  EXPECT_EQ(R.Bounds.HeapSlots[0].Lo, 0);
-  EXPECT_EQ(R.Bounds.HeapSlots[0].Hi, 1) << "node a: val in [0,1]";
-  EXPECT_EQ(R.Bounds.HeapSlots[NF].Lo, 0);
-  EXPECT_EQ(R.Bounds.HeapSlots[NF].Hi, 2) << "node b: val in [0,2]";
-  // The class row must cover the union (the coarse fallback).
-  ASSERT_EQ(R.Bounds.HeapFields.size(), NF);
-  EXPECT_LE(R.Bounds.HeapFields[0].Lo, 0);
-  EXPECT_GE(R.Bounds.HeapFields[0].Hi, 2);
-}
-
-TEST(AbsInt, ThreadAllocatedPoolRefusesSlotExport) {
-  auto P = buildPrivateHeapPair(/*Publish=*/false, /*SameVal=*/true);
-  flat::FlatProgram FP = flat::flatten(*P);
-  HoleAssignment C(P->holes().size(), 0);
-  PointsToResult Pts = runPointsTo(FP, &C);
-  ASSERT_TRUE(Pts.Ran);
-  AbsIntResult R = runAbsInt(*P, FP, &C, AbsIntConfig(), -1, 0, &Pts);
-  // Thread allocations: node identity depends on the schedule, so the
-  // node-major export must stay off.
-  EXPECT_TRUE(R.Bounds.HeapSlots.empty());
 }
 
 //===----------------------------------------------------------------------===//
@@ -457,63 +319,54 @@ TEST(SymmetryInfer, SiteGraphIsomorphismChecksPerContext) {
 }
 
 //===----------------------------------------------------------------------===//
-// CEGIS integration: on/off agreement, audit, stats policy.
+// CEGIS integration: the heap sketch resolves, and the stats policy.
 //===----------------------------------------------------------------------===//
 
 TEST(Cegis, ShapeOnOffAgreeOnHeapSketchVerdict) {
-  auto POn = buildHeapSketch();
-  auto POff = buildHeapSketch();
-  cegis::CegisConfig On;
-  On.MaxIterations = 64;
-  On.Shape = true;
-  On.Analysis.Shape = true;
-  On.ShapeAudit = true;
-  cegis::CegisConfig Off = On;
-  Off.Shape = false;
-  Off.Analysis.Shape = false;
-  Off.ShapeAudit = false;
-
-  cegis::ConcurrentCegis COn(*POn, On);
-  cegis::CegisResult ROn = COn.run();
-  cegis::ConcurrentCegis COff(*POff, Off);
-  cegis::CegisResult ROff = COff.run();
-
-  ASSERT_FALSE(ROn.Stats.Aborted);
-  ASSERT_FALSE(ROff.Stats.Aborted);
-  EXPECT_TRUE(ROn.Stats.Resolvable);
-  EXPECT_EQ(ROn.Stats.Resolvable, ROff.Stats.Resolvable);
-  EXPECT_EQ(ROn.Stats.ShapeFalsePrunes, 0u);
+  // The shape lint only reports; with it on or off CEGIS resolves the
+  // heap sketch to its unique candidate, and the unreduced reference
+  // oracle accepts that candidate.
+  HoleAssignment Resolved[2];
+  for (bool Lint : {true, false}) {
+    auto P = buildHeapSketch();
+    cegis::CegisConfig Cfg;
+    Cfg.MaxIterations = 64;
+    Cfg.Analysis.Shape = Lint;
+    cegis::ConcurrentCegis C(*P, Cfg);
+    cegis::CegisResult R = C.run();
+    ASSERT_FALSE(R.Stats.Aborted) << "lint " << Lint;
+    ASSERT_TRUE(R.Stats.Resolvable) << "lint " << Lint;
+    exec::Machine M(C.flatProgram(), R.Candidate);
+    verify::CheckResult Oracle = verify::checkOracle(M);
+    EXPECT_TRUE(Oracle.Ok && !Oracle.Exhausted) << "lint " << Lint;
+    Resolved[Lint] = R.Candidate;
+  }
   // The resolving candidate is unique: a.val = 2, b.val = 3.
-  EXPECT_EQ(ROn.Candidate, ROff.Candidate);
-  // Stats observability: sites flow through only when the pass is on.
-  EXPECT_EQ(ROn.Stats.ShapeSites, 2u);
-  EXPECT_GE(ROn.Stats.MustNotAliasPairs, 1u);
-  EXPECT_EQ(ROff.Stats.ShapeSites, 0u);
+  EXPECT_EQ(Resolved[1], (HoleAssignment{1, 1}));
+  EXPECT_EQ(Resolved[0], Resolved[1]);
 }
 
 TEST(Cegis, CheckerStatsAccumulateMinWhereRan) {
   cegis::CegisStats Stats;
   verify::CheckResult C1;
-  C1.ShapeSites = 4;
-  C1.SiteIndepPairs = 10;
+  C1.SymmetryOrbits = 4;
   cegis::accumulateCheckerStats(Stats, C1);
-  EXPECT_EQ(Stats.ShapeSites, 4u);
-  EXPECT_EQ(Stats.SiteIndepPairs, 10u);
+  EXPECT_EQ(Stats.SymmetryOrbits, 4u);
 
-  // A run where the partition did not engage must not reset the floor.
+  // A call where inference did not run (Symmetry Off reports 0) must not
+  // reset the floor.
   verify::CheckResult C2;
-  C2.ShapeSites = 0;
-  C2.SiteIndepPairs = 0;
   cegis::accumulateCheckerStats(Stats, C2);
-  EXPECT_EQ(Stats.ShapeSites, 4u);
-  EXPECT_EQ(Stats.SiteIndepPairs, 10u);
+  EXPECT_EQ(Stats.SymmetryOrbits, 4u);
 
-  // Min per counter where the pass ran: a candidate with more sites but
-  // fewer proven-independent pairs lowers only the pair floor.
+  // A candidate whose inference proved less symmetry does not raise the
+  // minimum; one that proved more lowers it.
   verify::CheckResult C3;
-  C3.ShapeSites = 6;
-  C3.SiteIndepPairs = 2;
+  C3.SymmetryOrbits = 6;
   cegis::accumulateCheckerStats(Stats, C3);
-  EXPECT_EQ(Stats.ShapeSites, 4u);
-  EXPECT_EQ(Stats.SiteIndepPairs, 2u);
+  EXPECT_EQ(Stats.SymmetryOrbits, 4u);
+  verify::CheckResult C4;
+  C4.SymmetryOrbits = 2;
+  cegis::accumulateCheckerStats(Stats, C4);
+  EXPECT_EQ(Stats.SymmetryOrbits, 2u);
 }
